@@ -13,6 +13,8 @@ All operations are pure functions on immutable values.
 
 from dataclasses import dataclass
 
+from .linalg import TheoremViolation
+
 
 class BraidSyntaxError(ValueError):
     """Raised for malformed braid word text."""
@@ -256,6 +258,21 @@ def alt_canonical(word):
     return AltBraidWord.canonical(pairs)
 
 
+def alt_words(bound):
+    """Every canonical alternating word of total exponent <= bound, sorted."""
+    seen = set()
+
+    def rec(pairs, budget):
+        if pairs:
+            seen.add(AltBraidWord.canonical(pairs).pairs)
+        for a in range(1, budget + 1):
+            for b in range(1, budget - a + 1):
+                rec(pairs + [(a, b)], budget - a - b)
+
+    rec([], bound)
+    return [AltBraidWord(p) for p in sorted(seen)]
+
+
 def swap_generators(word):
     """The generator swap s1^-1 <-> s2 (and s1 <-> s2^-1), letter by letter.
 
@@ -312,14 +329,15 @@ def reduce_almost_alternating(word):
     The input must be cyclically almost-alternating on the s1 side: one
     s1^+1 crossing, everything else s1^-1 or s2.  Each substitution removes
     two crossings, so the run terminates well inside the 4*len^2 bound
-    asserted here.
+    checked here.
     """
     syms = list(symbols_of(word))
     _check_almost_alternating(syms)
     trace = []
     bound = 4 * len(syms) * len(syms)
     while True:
-        assert len(trace) <= bound, "rewriting failed to terminate"
+        if len(trace) > bound:
+            raise TheoremViolation("rewriting failed to terminate")
         n = len(syms)
         hit = None
         for p in range(n):

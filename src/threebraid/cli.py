@@ -103,12 +103,8 @@ def _u1_matrix(args):
     if (d - args.sigma - 1) % 4:
         stage, sols = "parity", ()
     else:
-        sols = embed.criterion_search(form, (d + 1) // 2,
-                                      change_making=not args.no_change_making)
-        stage = "witness" if sols else "search_empty"
-        if not sols and not args.no_change_making:
-            if embed.criterion_search(form, (d + 1) // 2, change_making=False):
-                stage = "change_making"
+        stage, sols = embed.search_stage(form, (d + 1) // 2,
+                                         not args.no_change_making)
     doc = {"determinant": d, "sigma": args.sigma, "n": (d + 1) // 2,
            "stage": stage, "witnesses": [a.to_json() for a in sols],
            "note": "external matrix: no diagram, so no crossing extraction; "
@@ -129,30 +125,17 @@ def cmd_u1(args):
     return _u1_word(args)
 
 
-def _enumerate_one(pairs):
-    word = braid.AltBraidWord(pairs)
+def _enumerate_one(word):
     report = embed.u1_pipeline(word)
     family = bool(braid.unknotting_crossings(word))
-    return {"word": list(pairs), "determinant": report.determinant,
+    return {"word": list(word.pairs), "determinant": report.determinant,
             "sigma": report.sigma, "stage": report.stage,
             "verdict": report.verdict, "family_test": family}
 
 
-def _alt_knot_words(bound):
-    seen = set()
-    def rec(pairs, budget):
-        if pairs:
-            seen.add(braid.AltBraidWord.canonical(pairs).pairs)
-        for a in range(1, budget + 1):
-            for b in range(1, budget - a + 1):
-                rec(pairs + [(a, b)], budget - a - b)
-    rec([], bound)
-    return sorted(p for p in seen
-                  if braid.is_knot_closure(braid.AltBraidWord(p).raw()))
-
-
 def cmd_enumerate(args):
-    words = _alt_knot_words(args.bound)
+    words = [w for w in braid.alt_words(args.bound)
+             if braid.is_knot_closure(w.raw())]
     if args.workers > 1:
         with multiprocessing.Pool(args.workers) as pool:
             results = pool.map(_enumerate_one, words)
@@ -197,10 +180,7 @@ def cmd_symmetry(args):
     if args.matrix:
         form = _load_matrix(args.matrix)
         d = goeritz.determinant(form)
-        table = forms.d_table_sharp(form.matrix)
-        neg = forms.DTable(d, tuple(-v for v in table.values))
-        sides = {"table": forms.halfint_symmetry_test(table, d),
-                 "negated": forms.halfint_symmetry_test(neg, d)}
+        sides = forms.symmetry_sides(form.matrix)
         passed = sides["table"] or sides["negated"]
         word_json = None
     else:

@@ -23,16 +23,10 @@ from math import isqrt
 from . import linalg
 from .braid import (AltBraidWord, CrossingRef, almost_alt_unknot_test,
                     change_crossing, is_knot_closure, swap_generators)
+from .forms import symmetry_sides
 from .goeritz import (GoeritzForm, determinant, goeritz_3braid, mirror_word,
                       signature_normal_form)
-
-
-class TheoremViolation(AssertionError):
-    """A structural consequence of the embedding theorems failed to hold.
-
-    Raised instead of silently ignoring the matrix: it means either an
-    internal bug or an input outside the theorems' hypotheses.
-    """
+from .linalg import TheoremViolation
 
 
 @dataclass(frozen=True)
@@ -308,6 +302,20 @@ def criterion_search(form, n, change_making=True):
     return tuple(found[k] for k in sorted(found))
 
 
+def search_stage(form, n, enforce_change_making):
+    """(stage, matrices) of the embedding search for determinant 2n-1.
+
+    witness returns the matrices found; an empty search under the chain is
+    re-run without it, to tell change_making from search_empty.
+    """
+    sols = criterion_search(form, n, change_making=enforce_change_making)
+    if sols:
+        return "witness", sols
+    if enforce_change_making and criterion_search(form, n, change_making=False):
+        return "change_making", ()
+    return "search_empty", ()
+
+
 def _check_witness(a, g_matrix, n):
     r = a.r
     rn = ((-n, 1), (1, -2))
@@ -508,19 +516,11 @@ def word_symmetry_obstruction(word):
     (returns False) only when every orientation fails, keeping it sound.
     Returns (passed, {"table": bool, "negated": bool}).
     """
-    from .forms import DTable, d_table_sharp, halfint_symmetry_test
-
     g = goeritz_3braid(word)
-    d = determinant(g)
-    if d == 1:
+    if determinant(g) == 1:
         raise ValueError("determinant one: no surgery form to test")
     sigma = signature_normal_form(0, word)
-    table = d_table_sharp(g.matrix)
-    negated = DTable(d, tuple(-v for v in table.values))
-    sides = {
-        "table": halfint_symmetry_test(table, d),
-        "negated": halfint_symmetry_test(negated, d),
-    }
+    sides = symmetry_sides(g.matrix)
     if sigma == 0:
         passed = sides["table"] or sides["negated"]
     elif sigma > 0:
@@ -657,13 +657,11 @@ def u1_pipeline(word, enforce_change_making=True):
             sides.append((mirrored, True))
 
     witnesses = []
-    relaxed_hit = False
+    stages = []
     for side_word, side_mirrored in sides:
         g = goeritz_3braid(side_word)
-        sols = criterion_search(g, n, change_making=enforce_change_making)
-        if not sols and enforce_change_making:
-            if criterion_search(g, n, change_making=False):
-                relaxed_hit = True
+        stage, sols = search_stage(g, n, enforce_change_making)
+        stages.append(stage)
         for a in sols:
             crossing = None
             verified = False
@@ -687,5 +685,5 @@ def u1_pipeline(word, enforce_change_making=True):
         return report("witness", witnesses, mirrored_input, sigma=sigma)
     if witnesses:
         raise TheoremViolation("witness found but its crossing failed to verify")
-    stage = "change_making" if relaxed_hit else "search_empty"
+    stage = "change_making" if "change_making" in stages else "search_empty"
     return report(stage, (), mirrored_input, sigma=sigma)

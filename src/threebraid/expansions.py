@@ -16,7 +16,7 @@ the solved x tail always breaks the change-making chain.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 
 from . import linalg
 from .embed import TheoremViolation, change_making_ok
@@ -80,6 +80,7 @@ SEED_M1 = PartialEmbedding(((1, -1, 1, 1), (-1, 1, 0, 0), (1, 1, 0, 0)))
 SEED_M2 = PartialEmbedding(((1, -1, 1, 0), (-1, 1, 0, 1), (1, 1, 0, 0)))
 SEED_M3 = PartialEmbedding(((0, 0, -1, 1, 1), (1, -1, 1, 0, 0),
                             (-1, 1, 1, 0, 0), (1, 1, 0, 0, 0)))
+_SEEDS = {2: (SEED_M1, SEED_M2), 3: (SEED_M3,)}
 
 
 def goeritz_parameters(pe):
@@ -320,31 +321,33 @@ def _expansion_steps(pe):
     return steps
 
 
-def generate_balanced(r_max, kinds=(1, 3)):
+def _expand_layer(members, kinds, seeds=()):
+    """Seeds, then every move of the given kinds on members, one per class.
+
+    Keyed by canonical form; the first member met in a class stays.
+    """
+    grown = (expand(pe, step) for pe in members
+             for step in _expansion_steps(pe) if step.kind in kinds)
+    layer = {}
+    for pe in chain(seeds, grown):
+        layer.setdefault(canonical_form(pe), pe)
+    return layer
+
+
+def generate_balanced(r_max):
     """All balanced partial witnesses of rank 2..r_max, canonically deduped.
 
-    Breadth-first expansion from the three seeds; expansion can reach the
-    same matrix along different move sequences, so each layer is deduped
-    by canonical form.  Returns a dict rank -> tuple of members (one
-    representative per class, in canonical-key order).
+    Breadth-first expansion by kind-1 and kind-3 moves from the three
+    seeds.  Returns a dict rank -> tuple of members (one representative per
+    class, in canonical-key order).
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    layers = {2: {canonical_form(SEED_M1): SEED_M1,
-                  canonical_form(SEED_M2): SEED_M2}}
-    if r_max >= 3:
-        layers[3] = {canonical_form(SEED_M3): SEED_M3}
-    for r in range(2, r_max):
-        nxt = layers.setdefault(r + 1, {})
-        for pe in layers[r].values():
-            for step in _expansion_steps(pe):
-                if step.kind not in kinds:
-                    continue
-                grown = expand(pe, step)
-                key = canonical_form(grown)
-                nxt.setdefault(key, grown)
-    return {r: tuple(members[k] for k in sorted(members))
-            for r, members in sorted(layers.items()) if r <= r_max}
+    layers, layer = {}, {}
+    for r in range(2, r_max + 1):
+        layer = _expand_layer(layer.values(), (1, 3), _SEEDS.get(r, ()))
+        layers[r] = tuple(layer[k] for k in sorted(layer))
+    return layers
 
 
 def column_multiset_check(pe):
@@ -452,17 +455,10 @@ def _marks_ok(c, i, j, h1, chain1, h2, chain2):
 def _reachable_by_kind1(pe):
     """Whether pe arises from the two rank-2 seeds by kind-1 moves alone."""
     key = canonical_form(pe)
-    frontier = {canonical_form(SEED_M1): SEED_M1,
-                canonical_form(SEED_M2): SEED_M2}
+    layer = _expand_layer((), (1,), _SEEDS[2])
     for _ in range(2, pe.r):
-        grown = {}
-        for member in frontier.values():
-            for step in _expansion_steps(member):
-                if step.kind == 1:
-                    new = expand(member, step)
-                    grown.setdefault(canonical_form(new), new)
-        frontier = grown
-    return key in frontier
+        layer = _expand_layer(layer.values(), (1,))
+    return key in layer
 
 
 def completion_x_tail(pe):

@@ -19,7 +19,7 @@ from itertools import product
 from math import gcd
 
 from . import linalg
-from .linalg import is_negative_definite
+from .linalg import TheoremViolation, is_negative_definite
 
 
 class NonCyclicCokernel(ValueError):
@@ -190,7 +190,8 @@ def d_table_sharp(m):
         label = (coker.label(c) * inv2) % D
         if best[label] is None or sq > best[label]:
             best[label] = sq
-    assert all(b is not None for b in best)
+    if any(b is None for b in best):
+        raise TheoremViolation("a label has no covector in the box")
     return DTable(D, tuple((b + k) / 4 for b in best))
 
 
@@ -227,16 +228,18 @@ def d_table_halfint_unknot(D):
     for i in range(n + 1):
         squares = []
         for alpha in _table_maximizers(D, i):
-            assert coker.label(alpha) == (2 * i) % D
+            if coker.label(alpha) != (2 * i) % D:
+                raise TheoremViolation(f"maximizer {alpha} has the wrong label")
             squares.append(covector_square(rn, alpha))
         sq = squares[0]
-        assert all(s == sq for s in squares), (D, i, squares)
+        if any(s != sq for s in squares):
+            raise TheoremViolation(f"maximizers disagree: {(D, i, squares)}")
         val = (sq + 2) / 4
         for res in (i % D, -i % D):
             if values[res] is None:
                 values[res] = val
-            else:
-                assert values[res] == val, (D, i)
+            elif values[res] != val:
+                raise TheoremViolation(f"conjugate labels disagree: {(D, i)}")
     return DTable(D, tuple(values))
 
 
@@ -264,6 +267,18 @@ def halfint_symmetry_test(table, D):
                for i in idxs):
             return True
     return False
+
+
+def symmetry_sides(m):
+    """The symmetry test on both orientations of the sharp table of m.
+
+    Returns {"table": bool, "negated": bool}; the caller picks the side.
+    """
+    table = d_table_sharp(m)
+    d = table.determinant
+    negated = DTable(d, tuple(-v for v in table.values))
+    return {"table": halfint_symmetry_test(table, d),
+            "negated": halfint_symmetry_test(negated, d)}
 
 
 def one_vector_coverage(a, m):

@@ -10,6 +10,14 @@ so asymptotics are irrelevant; exactness is not.
 from fractions import Fraction
 
 
+class TheoremViolation(AssertionError):
+    """A structural consequence of the theorems failed to hold.
+
+    Raised, never asserted, so the check survives ``python -O``: it means
+    either an internal bug or an input outside the theorems' hypotheses.
+    """
+
+
 def freeze(rows):
     """Return the matrix as a tuple of tuples of ints."""
     return tuple(tuple(int(x) for x in row) for row in rows)
@@ -29,10 +37,6 @@ def mat_mul(a, b):
     )
 
 
-def transpose(m):
-    return tuple(zip(*m))
-
-
 def gram(rows):
     """Gram matrix of the rows under the Euclidean dot product."""
     return tuple(
@@ -42,18 +46,6 @@ def gram(rows):
 
 def neg(m):
     return tuple(tuple(-x for x in row) for row in m)
-
-
-def bareiss_minors(m):
-    """Leading principal minors det(m[:j][:j]) for j = 1..n, exactly.
-
-    Fraction-free elimination; the pivots of the Bareiss scheme are the
-    leading principal minors, so they come out as a by-product.  Falls back
-    to expansion through a Fraction elimination when a leading pivot
-    vanishes (the callers below only need the honest minor values).
-    """
-    n = len(m)
-    return tuple(_det_int([row[: j + 1] for row in m[: j + 1]]) for j in range(n))
 
 
 def _det_int(m):
@@ -94,7 +86,8 @@ def is_negative_definite(m):
     """
     if not is_symmetric(m):
         raise ValueError("matrix is not symmetric")
-    for j, minor in enumerate(bareiss_minors(m), start=1):
+    for j in range(1, len(m) + 1):
+        minor = _det_int([row[:j] for row in m[:j]])
         if (minor if j % 2 == 0 else -minor) <= 0:
             return False
     return True

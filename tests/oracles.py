@@ -1,10 +1,9 @@
 """Independent oracles used by the test suite.
 
 Everything here recomputes expected values from first principles, without
-going through the code paths under test: exhaustive scans over words,
-determinants of incidence-flipped Goeritz matrices, plain product-loop
-embedding searches, and a from-scratch solver for the partial witness
-family.
+going through the code paths under test: determinants of
+incidence-flipped Goeritz matrices, plain product-loop embedding searches,
+and a from-scratch solver for the partial witness family.
 """
 
 from functools import lru_cache
@@ -15,21 +14,6 @@ from threebraid import linalg
 from threebraid.braid import AltBraidWord
 from threebraid.goeritz import (flip_cycle_crossing, flip_hub_crossing,
                                 goeritz_3braid)
-
-
-def all_alt_words(bound):
-    """All canonical alternating words with total exponent <= bound."""
-    seen = set()
-
-    def rec(pairs, budget):
-        if pairs:
-            seen.add(AltBraidWord.canonical(pairs).pairs)
-        for a in range(1, budget + 1):
-            for b in range(1, budget - a + 1):
-                rec(pairs + [(a, b)], budget - a - b)
-
-    rec([], bound)
-    return [AltBraidWord(p) for p in sorted(seen)]
 
 
 def changed_determinant(word, block):

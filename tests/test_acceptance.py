@@ -134,7 +134,7 @@ def test_acceptance_5_desk_scale():
     """
     t0 = time.time()
     checked = 0
-    for word in oracles.all_alt_words(12):
+    for word in braid.alt_words(12):
         if not braid.is_knot_closure(word.raw()):
             continue
         if goeritz.determinant(goeritz.goeritz_3braid(word)) == 1:
@@ -173,7 +173,7 @@ def test_acceptance_7_property_suites():
     """Key invariants rechecked in one place: termination, parity, windows,
     witness identities."""
     t0 = time.time()
-    words = oracles.all_alt_words(9)
+    words = braid.alt_words(9)
 
     # rewriting terminates within 4 * len^2 steps
     for word in words:
@@ -184,7 +184,7 @@ def test_acceptance_7_property_suites():
             assert len(out.trace) <= 4 * n * n
 
     # D odd and congruent to sigma + 1 mod 4 on the full enumeration
-    for word in oracles.all_alt_words(12):
+    for word in braid.alt_words(12):
         if not braid.is_knot_closure(word.raw()):
             continue
         det = goeritz.determinant(goeritz.goeritz_3braid(word))

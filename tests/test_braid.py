@@ -119,7 +119,7 @@ def test_unknot_examples():
 
 def test_unknot_iff_determinant_one():
     """Reduction endpoint against the incidence-flip determinant oracle."""
-    for word in oracles.all_alt_words(10):
+    for word in braid.alt_words(10):
         if not braid.is_knot_closure(word.raw()):
             continue
         for block in range(2 * word.m):
@@ -131,8 +131,16 @@ def test_unknot_iff_determinant_one():
                 (word.pairs, block)
 
 
+def test_alt_words_counts():
+    for bound, words, knots in ((6, 25, 11), (12, 777, 334), (14, 2587, 1115)):
+        found = braid.alt_words(bound)
+        assert len(found) == words
+        assert sum(braid.is_knot_closure(w.raw()) for w in found) == knots
+    assert [w.pairs for w in braid.alt_words(2)] == [((1, 1),)]
+
+
 def test_rewriting_termination_bound():
-    for word in oracles.all_alt_words(9):
+    for word in braid.alt_words(9):
         for block in range(0, 2 * word.m, 2):
             changed = braid.change_crossing(word, CrossingRef(block, 0))
             out = braid.reduce_almost_alternating(changed)
@@ -149,7 +157,7 @@ def test_unknotting_crossings_8_7():
 def test_enumerate_matches_bruteforce_scan():
     generated = set(braid.enumerate_unknotting_words(8))
     scanned = set()
-    for word in oracles.all_alt_words(8):
+    for word in braid.alt_words(8):
         for ref in braid.unknotting_crossings(word):
             scanned.add(braid.canonical_tag(TaggedDiagram(word, ref)))
     assert generated == scanned

@@ -39,14 +39,43 @@ def test_u1_no_change_making(capsys):
     assert "not certificates" in out
 
 
-def test_u1_matrix_input(capsys, tmp_path, g87_matrix):
+def _matrix_file(tmp_path, matrix):
     path = tmp_path / "g.json"
-    path.write_text(json.dumps({"goeritz": [list(r) for r in g87_matrix]}))
-    code, out, _ = run_cli(capsys, "u1", "--matrix", str(path), "--sigma", "2")
+    path.write_text(json.dumps({"goeritz": [list(r) for r in matrix]}))
+    return str(path)
+
+
+def test_u1_matrix_input(capsys, tmp_path, g87_matrix):
+    path = _matrix_file(tmp_path, g87_matrix)
+    code, out, _ = run_cli(capsys, "u1", "--matrix", path, "--sigma", "2")
     assert code == 0
     assert "stage: witness" in out
-    code, _, err = run_cli(capsys, "u1", "--matrix", str(path))
+    code, _, err = run_cli(capsys, "u1", "--matrix", path)
     assert code == 2 and "--sigma" in err
+
+
+def test_u1_matrix_stages(capsys, tmp_path, g1079_matrix):
+    path = _matrix_file(tmp_path, g1079_matrix)
+    code, out, _ = run_cli(capsys, "u1", "--matrix", path, "--sigma", "0")
+    assert code == 0
+    assert "stage: change_making" in out and "witness matrix" not in out
+    code, out, _ = run_cli(capsys, "u1", "--matrix", path, "--sigma", "0",
+                           "--no-change-making")
+    assert code == 0
+    assert "stage: witness" in out and out.count("witness matrix:") == 1
+
+
+def test_symmetry_matrix(capsys, tmp_path, g87_matrix, g1079_matrix):
+    out_path = tmp_path / "sym.json"
+    code, out, _ = run_cli(capsys, "symmetry", "--matrix",
+                           _matrix_file(tmp_path, g87_matrix),
+                           "--out", str(out_path))
+    assert code == 0 and "compatible" in out
+    doc = json.loads(out_path.read_text())
+    assert doc["sides"] == {"table": False, "negated": True}
+    code, out, _ = run_cli(capsys, "symmetry", "--matrix",
+                           _matrix_file(tmp_path, g1079_matrix))
+    assert code == 0 and "obstruction fires" in out
 
 
 def test_u1_input_errors(capsys):

@@ -64,7 +64,7 @@ def test_criterion_input_validation(g87_matrix):
 
 def test_witness_invariants():
     """Gram identity, |det A| = D and det C = +-1 on every emitted witness."""
-    for word in oracles.all_alt_words(9):
+    for word in braid.alt_words(9):
         if not braid.is_knot_closure(word.raw()):
             continue
         g = goeritz.goeritz_3braid(word)

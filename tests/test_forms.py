@@ -141,11 +141,10 @@ def test_sharp_table_label_zero_is_quarter_signature():
     This pins the spin-c labelling and the table's overall orientation at
     once, independently of the maximizer bookkeeping.
     """
-    import oracles
-    from threebraid.braid import is_knot_closure
+    from threebraid.braid import alt_words, is_knot_closure
 
     checked = 0
-    for word in oracles.all_alt_words(9):
+    for word in alt_words(9):
         if not is_knot_closure(word.raw()):
             continue
         g = goeritz.goeritz_3braid(word)

@@ -3,9 +3,7 @@ import json
 import pytest
 
 from threebraid import goeritz, linalg
-from threebraid.braid import AltBraidWord, CrossingRef
-
-import oracles
+from threebraid.braid import AltBraidWord, CrossingRef, alt_words
 
 
 def test_goeritz_8_7(w87, g87_matrix):
@@ -71,7 +69,7 @@ def test_mirror(w87):
 
 
 def test_mirror_negates_signature():
-    for word in oracles.all_alt_words(10):
+    for word in alt_words(10):
         assert goeritz.signature_normal_form(0, goeritz.mirror_word(word)) == \
             -goeritz.signature_normal_form(0, word)
 
@@ -80,7 +78,7 @@ def test_determinant_parity_sweep():
     """det odd and congruent to signature + 1 mod 4, over the enumeration."""
     from threebraid.braid import is_knot_closure
     count = 0
-    for word in oracles.all_alt_words(12):
+    for word in alt_words(12):
         if not is_knot_closure(word.raw()):
             continue
         det = goeritz.determinant(goeritz.goeritz_3braid(word))
@@ -92,7 +90,7 @@ def test_determinant_parity_sweep():
 
 
 def test_negative_definite_sweep():
-    for word in oracles.all_alt_words(12):
+    for word in alt_words(12):
         assert linalg.is_negative_definite(goeritz.goeritz_3braid(word).matrix)
 
 

@@ -23,6 +23,8 @@ def test_negative_definite():
     assert not linalg.is_negative_definite(((-2, 3), (3, -2)))
     with pytest.raises(ValueError):
         linalg.is_negative_definite(((1, 2), (0, 1)))
+    # the second leading minor vanishes: semidefinite, not definite
+    assert not linalg.is_negative_definite(((-1, 1, 0), (1, -1, 0), (0, 0, -1)))
 
 
 def test_inverse_exact():
