@@ -4,8 +4,8 @@ coverage of cokernel classes.
 
 Covectors live in dual-basis coordinates: c_i is the pairing of the class
 against the i-th basis vector, so characteristic means c_i = M_ii mod 2.
-All values are exact (ints and Fractions); there is no floating point in
-this module.
+All values are exact (integer scores c adj(M) c^T, ints and Fractions);
+there is no floating point in this module.
 
 The correction-term convention follows the maximizer table for the twist
 knot forms; in particular the value at label 0 is +1/2 when the
@@ -118,16 +118,21 @@ def char_box(m):
     return tuple(product(*axes))
 
 
+def _adjugate_square(adj, c):
+    """The integer c adj(M) c^T, which is det(M) times c M^-1 c^T."""
+    return sum(ci * a * cj for ci, row in zip(c, adj) for a, cj in zip(row, c))
+
+
 def covector_square(m, c):
     """Exact value of c M^-1 c^T for a characteristic covector c."""
     if len(c) != len(m):
         raise ValueError("dimension mismatch")
-    for ci, mii in zip(c, (m[i][i] for i in range(len(m)))):
-        if (ci - mii) % 2:
-            raise ValueError("covector is not characteristic")
-    inv = linalg.inverse(m)
-    return sum(Fraction(c[i]) * inv[i][j] * c[j]
-               for i in range(len(c)) for j in range(len(c)))
+    if any((ci - m[i][i]) % 2 for i, ci in enumerate(c)):
+        raise ValueError("covector is not characteristic")
+    d = linalg.det(m)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    return Fraction(_adjugate_square(linalg.adjugate(m), c), d)
 
 
 @dataclass(frozen=True)
@@ -171,7 +176,7 @@ def d_table_sharp(m):
     d at a spin-c label t is the maximum of (c^2 + k)/4 over characteristic
     covectors c in every class restricting to t; the label of a covector
     divides its cokernel class by 2.  Needs odd determinant and cyclic
-    cokernel.
+    cokernel.  Squares are compared as the integers D c^2 = (-1)^k c adj(M) c^T.
     """
     m = linalg.freeze(m)
     coker = coker_map(m)
@@ -182,17 +187,16 @@ def d_table_sharp(m):
         raise NonCyclicCokernel(coker.invariant_factors)
     k = len(m)
     inv2 = pow(2, -1, D) if D > 1 else 0
-    inv = linalg.inverse(m)
+    adj = linalg.adjugate(m)
     best = [None] * D
     for c in char_box(m):
-        sq = sum(Fraction(c[i]) * inv[i][j] * c[j]
-                 for i in range(k) for j in range(k))
+        sq = (-1) ** k * _adjugate_square(adj, c)
         label = (coker.label(c) * inv2) % D
         if best[label] is None or sq > best[label]:
             best[label] = sq
     if any(b is None for b in best):
         raise TheoremViolation("a label has no covector in the box")
-    return DTable(D, tuple((b + k) / 4 for b in best))
+    return DTable(D, tuple((Fraction(b, D) + k) / 4 for b in best))
 
 
 def _table_maximizers(D, i):

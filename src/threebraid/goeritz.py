@@ -218,7 +218,13 @@ def load_goeritz_json(text):
     data = json.loads(text)
     if not isinstance(data, dict) or "goeritz" not in data:
         raise ValueError('expected an object with a "goeritz" key')
-    matrix = linalg.freeze(data["goeritz"])
+    rows = data["goeritz"]
+    # type(x) is int also rejects bools; int() would coerce -6.9 and "1"
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row)
+            for row in rows):
+        raise ValueError("the goeritz matrix must be a list of integer rows")
+    matrix = linalg.freeze(rows)
     if not linalg.is_negative_definite(matrix):
         raise ValueError("matrix is not negative definite")
     return GoeritzForm(matrix)

@@ -1,13 +1,11 @@
 """Exact integer linear algebra on small dense matrices.
 
 Matrices are tuples of tuples of Python ints (rows).  Everything here is
-exact: determinants use fraction-free (Bareiss) elimination, inverses are
-matrices of ``fractions.Fraction``, and the Smith normal form is computed
-with integer row/column operations.  Sizes in this package stay below ~30,
-so asymptotics are irrelevant; exactness is not.
+integer: determinants use fraction-free (Bareiss) elimination, adjugates
+stand in for inverses, and the Smith normal form is computed with integer
+row/column operations.  Sizes in this package stay below ~30, so
+asymptotics are irrelevant; exactness is not.
 """
-
-from fractions import Fraction
 
 
 class TheoremViolation(AssertionError):
@@ -93,35 +91,26 @@ def is_negative_definite(m):
     return True
 
 
-def inverse(m):
-    """Exact inverse as a matrix of Fractions."""
+def adjugate(m):
+    """Integer adjugate, entry (i, j) the (j, i) cofactor: adj(m) m = det(m) I."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    return tuple(tuple((-1) ** (i + j) * _det_int(
+        [row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j])
+        for j in range(n)) for i in range(n))
 
 
 def solve_int(m, rhs):
     """Solve m x = rhs over the integers; None when no integer solution.
 
-    m must be square and nonsingular.
+    m must be square; a singular m raises ValueError.
     """
-    inv = inverse(m)
-    x = [sum(inv[i][j] * rhs[j] for j in range(len(rhs))) for i in range(len(rhs))]
-    if any(v.denominator != 1 for v in x):
+    d = _det_int(m)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    x = [sum(a * b for a, b in zip(row, rhs)) for row in adjugate(m)]
+    if any(v % d for v in x):
         return None
-    return tuple(int(v) for v in x)
+    return tuple(v // d for v in x)
 
 
 def smith_normal_form(m):

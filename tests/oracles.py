@@ -2,10 +2,12 @@
 
 Everything here recomputes expected values from first principles, without
 going through the code paths under test: determinants of
-incidence-flipped Goeritz matrices, plain product-loop embedding searches,
-and a from-scratch solver for the partial witness family.
+incidence-flipped Goeritz matrices, Fraction inverses by Gauss-Jordan
+elimination, plain product-loop embedding searches, and a from-scratch
+solver for the partial witness family.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -33,6 +35,33 @@ def changed_determinant(word, block):
         edge = sum(b for _, b in word.pairs[:l])
         flipped = flip_cycle_crossing(form, edge)
     return abs(linalg.det(flipped))
+
+
+@lru_cache(maxsize=64)
+def fraction_inverse(m):
+    """Exact inverse as a matrix of Fractions, by Gauss-Jordan elimination."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def fraction_square(m, c):
+    """c M^-1 c^T as a sum of Fraction terms over the Gauss-Jordan inverse."""
+    inv = fraction_inverse(m)
+    return sum(Fraction(c[i]) * inv[i][j] * c[j]
+               for i in range(len(c)) for j in range(len(c)))
 
 
 @lru_cache(maxsize=None)

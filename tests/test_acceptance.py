@@ -193,26 +193,19 @@ def test_acceptance_7_property_suites():
 
     # char-box window sufficiency at k <= 5 is covered in test_forms;
     # re-run the largest case here as the acceptance anchor
-    from fractions import Fraction
     from itertools import product
     m = goeritz.goeritz_3braid(W1079).matrix
     coker = forms.coker_map(m)
-    inv = linalg.inverse(m)
-
-    def square(c):
-        return sum(Fraction(c[i]) * inv[i][j] * c[j]
-                   for i in range(5) for j in range(5))
-
     best, wide = {}, {}
     for c in forms.char_box(m):
         cls = coker.class_of(c)
-        sq = square(c)
+        sq = oracles.fraction_square(m, c)
         if cls not in best or sq > best[cls]:
             best[cls] = sq
     for c in product(*[range(2 * m[i][i] + (m[i][i] % 2), -2 * m[i][i] + 1, 2)
                        for i in range(5)]):
         cls = coker.class_of(c)
-        sq = square(c)
+        sq = oracles.fraction_square(m, c)
         if cls not in wide or sq > wide[cls]:
             wide[cls] = sq
     assert best == wide

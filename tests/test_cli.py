@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from threebraid import cli
 from threebraid.embed import PipelineReport
 
@@ -76,6 +78,23 @@ def test_symmetry_matrix(capsys, tmp_path, g87_matrix, g1079_matrix):
     code, out, _ = run_cli(capsys, "symmetry", "--matrix",
                            _matrix_file(tmp_path, g1079_matrix))
     assert code == 0 and "obstruction fires" in out
+
+
+@pytest.mark.parametrize("command", [["u1", "--sigma", "2"], ["symmetry"],
+                                     ["dtable"]])
+@pytest.mark.parametrize("matrix", [
+    [[-6.9, 1, 1], [1, -3, 1], [1, 1, -2]],      # int() would truncate
+    [["-6", 1, 1], [1, -3, 1], [1, 1, -2]],      # int() would parse
+    [[-1, True], [True, -2]],                    # bools are not entries
+    5,
+    [[None]],
+    [[-6, 1, 1], 1, [1, 1, -2]],
+])
+def test_matrix_entries_must_be_integers(capsys, tmp_path, command, matrix):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"goeritz": matrix}))
+    code, out, err = run_cli(capsys, *command, "--matrix", str(path))
+    assert code == 2 and out == "" and "integer rows" in err
 
 
 def test_u1_input_errors(capsys):

@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from threebraid import forms, goeritz, linalg
+import oracles
+from threebraid import braid, forms, goeritz, linalg
 from threebraid.braid import AltBraidWord
 
 
@@ -111,16 +112,10 @@ def test_window_sufficiency():
     for m in cases:
         k = len(m)
         coker = forms.coker_map(m)
-        inv = linalg.inverse(m)
-
-        def square(c):
-            return sum(Fraction(c[i]) * inv[i][j] * c[j]
-                       for i in range(k) for j in range(k))
-
         best = {}
         for c in forms.char_box(m):
             cls = coker.class_of(c)
-            sq = square(c)
+            sq = oracles.fraction_square(m, c)
             if cls not in best or sq > best[cls]:
                 best[cls] = sq
         # the doubled box, stepping only through characteristic values
@@ -129,10 +124,34 @@ def test_window_sufficiency():
         wide = {}
         for c in product(*axes):
             cls = coker.class_of(c)
-            sq = square(c)
+            sq = oracles.fraction_square(m, c)
             if cls not in wide or sq > wide[cls]:
                 wide[cls] = sq
         assert best == wide, m
+
+
+def test_integer_scoring_matches_fraction_oracle():
+    """Sharp tables and squares equal the Fraction-inverse computation."""
+    tables = 0
+    for word in braid.alt_words(8):
+        if not braid.is_knot_closure(word.raw()):
+            continue
+        m = goeritz.goeritz_3braid(word).matrix
+        coker = forms.coker_map(m)
+        if not coker.is_cyclic:
+            continue
+        D, k = coker.order, len(m)
+        best = [None] * D
+        for c in forms.char_box(m):
+            sq = oracles.fraction_square(m, c)
+            assert forms.covector_square(m, c) == sq
+            label = coker.label(c) * pow(2, -1, D) % D
+            if best[label] is None or sq > best[label]:
+                best[label] = sq
+        expect = tuple((b + k) / 4 for b in best)
+        assert forms.d_table_sharp(m).values == expect, word.pairs
+        tables += 1
+    assert tables == 32
 
 
 def test_sharp_table_label_zero_is_quarter_signature():

@@ -1,8 +1,18 @@
-from fractions import Fraction
-
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from threebraid import linalg
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def square_matrices(draw, min_size=1):
+    n = draw(st.integers(min_size, 5))
+    row = st.tuples(*[st.integers(-6, 6)] * n)
+    return tuple(draw(row) for _ in range(n))
 
 
 def test_det_small():
@@ -27,18 +37,57 @@ def test_negative_definite():
     assert not linalg.is_negative_definite(((-1, 1, 0), (1, -1, 0), (0, 0, -1)))
 
 
-def test_inverse_exact():
+def test_adjugate_exact():
     m = ((-12, 1), (1, -2))
-    inv = linalg.inverse(m)
-    assert inv[0][0] == Fraction(-2, 23)
-    ident = linalg.mat_mul(m, inv)
-    assert ident == ((1, 0), (0, 1))
+    adj = linalg.adjugate(m)
+    assert adj == ((-2, -1), (-1, -12))
+    inv = oracles.fraction_inverse(m)
+    assert all(a == 23 * x for arow, irow in zip(adj, inv)
+               for a, x in zip(arow, irow))
+    assert linalg.adjugate(((7,),)) == ((1,),)
 
 
 def test_solve_int():
     c = ((1, 2), (0, 1))
     assert linalg.solve_int(c, (5, 2)) == (1, 2)
     assert linalg.solve_int(((2, 0), (0, 1)), (1, 1)) is None
+    with pytest.raises(ValueError):
+        linalg.solve_int(((1, 2), (2, 4)), (1, 1))
+
+
+@SETTINGS
+@given(square_matrices())
+def test_adjugate_identity(m):
+    d = linalg.det(m)
+    scaled = tuple(tuple(d * (i == j) for j in range(len(m)))
+                   for i in range(len(m)))
+    adj = linalg.adjugate(m)
+    assert linalg.mat_mul(adj, m) == scaled
+    assert linalg.mat_mul(m, adj) == scaled
+
+
+@SETTINGS
+@given(square_matrices(), st.data())
+def test_solve_int_matches_fraction_inverse(m, data):
+    assume(linalg.det(m) != 0)
+    vectors = st.tuples(*[st.integers(-20, 20)] * len(m))
+    x0 = data.draw(vectors)
+    image = tuple(sum(a * b for a, b in zip(row, x0)) for row in m)
+    assert linalg.solve_int(m, image) == x0
+    rhs = data.draw(vectors)
+    inv = oracles.fraction_inverse(m)
+    x = [sum(a * b for a, b in zip(row, rhs)) for row in inv]
+    expect = (tuple(int(v) for v in x)
+              if all(v.denominator == 1 for v in x) else None)
+    assert linalg.solve_int(m, rhs) == expect
+
+
+@SETTINGS
+@given(square_matrices(min_size=2), st.integers(-3, 3))
+def test_solve_int_rejects_singular(m, k):
+    singular = m[:-1] + (tuple(k * x for x in m[0]),)
+    with pytest.raises(ValueError):
+        linalg.solve_int(singular, (1,) * len(m))
 
 
 def test_smith_normal_form_invariants():

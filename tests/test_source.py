@@ -4,12 +4,26 @@ from pathlib import Path
 import threebraid
 
 
-def test_no_assert_statements_in_the_library():
-    """Theorem checks raise explicitly, so they survive ``python -O``."""
+def _library_nodes():
+    """(file:line, node) for every AST node of src/threebraid/*.py."""
     package = Path(threebraid.__file__).parent
-    found = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+        for node in ast.walk(tree):
+            yield f"{path.name}:{getattr(node, 'lineno', 0)}", node
+
+
+def test_no_assert_statements_in_the_library():
+    """Theorem checks raise explicitly, so they survive ``python -O``."""
+    found = [where for where, node in _library_nodes()
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_floating_point_in_the_library():
+    """Arithmetic stays exact: no float literals and no use of ``float``."""
+    found = [where for where, node in _library_nodes()
+             if (isinstance(node, ast.Constant)
+                 and isinstance(node.value, (float, complex)))
+             or (isinstance(node, ast.Name) and node.id == "float")]
     assert found == []
