@@ -101,10 +101,10 @@ def _u1_matrix(args):
     if d % 2 == 0:
         raise ValueError("matrix determinant is even; not a knot form")
     if (d - args.sigma - 1) % 4:
-        stage, sols = "parity", ()
-    else:
-        stage, sols = embed.search_stage(form, (d + 1) // 2,
-                                         not args.no_change_making)
+        raise ValueError(f"no knot has determinant {d} and signature "
+                         f"{args.sigma}: D = sigma + 1 (mod 4) fails")
+    stage, sols = embed.search_stage(form, (d + 1) // 2,
+                                     not args.no_change_making)
     doc = {"determinant": d, "sigma": args.sigma, "n": (d + 1) // 2,
            "stage": stage, "witnesses": [a.to_json() for a in sols],
            "note": "external matrix: no diagram, so no crossing extraction; "
@@ -218,7 +218,7 @@ def cmd_b0(args):
     if args.check:
         col_ok = all(expansions.column_multiset_check(pe)
                      for ms in layers.values() for pe in ms)
-        blocked = expansions.no_orthogonal_completion(args.rmax)
+        blocked = expansions.no_orthogonal_completion_in(layers)
         doc["column_multisets_ok"] = col_ok
         doc["no_orthogonal_completion"] = blocked
         lines.append(f"column multisets ok: {col_ok}")

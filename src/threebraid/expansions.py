@@ -170,19 +170,30 @@ def canonical_form(pe):
 
     Columns 1 and 2 may swap; the remaining columns permute freely.  Column
     negations never identify two members (every column sums to 1), so they
-    are not quotiented.
+    are not quotiented.  The key is the least, over all cycle-row orders,
+    of (sorted head columns, tail columns in decreasing order).
+
+    Precondition: the heads are one (1, -1), one (-1, 1) and (0, 0) on
+    every other cycle row, else ValueError.  Then the head columns are
+    +-(e_i - e_j) on the cycle rows, and the first key column is the one
+    with -1 at the earlier marked row and +1 at the later.  It is least
+    exactly when the marked rows come first and last, so only the orders
+    (i, mid..., j) and (j, mid..., i) are tried: 2 (r-2)! instead of r!,
+    with the same key.
     """
     v = pe.v_rows
+    i, j = pe.marked_rows()
+    mid = [row for t, row in enumerate(v) if t not in (i, j)]
+    if any(row[:2] != (0, 0) for row in mid):
+        raise ValueError("heads away from the marked rows must be (0, 0)")
     y = pe.y_row
     best = None
-    for perm in permutations(range(len(v))):
-        rows = [v[p] for p in perm] + [y]
-        cols = list(zip(*rows))
-        head = sorted(cols[:2])
-        tail = sorted(cols[2:], reverse=True)
-        key = tuple(head + tail)
-        if best is None or key < best:
-            best = key
+    for first, last in ((v[i], v[j]), (v[j], v[i])):
+        for perm in permutations(mid):
+            cols = list(zip(first, *perm, last, y))
+            key = tuple(sorted(cols[:2]) + sorted(cols[2:], reverse=True))
+            if best is None or key < best:
+                best = key
     return best
 
 
@@ -486,16 +497,21 @@ def completion_x_tail(pe):
 
 
 def no_orthogonal_completion(r_max):
-    """True when no balanced member with orthogonal marks extends to a witness.
+    """True when no balanced member of rank <= r_max with orthogonal marks
+    extends to a witness."""
+    return no_orthogonal_completion_in(generate_balanced(r_max))
 
-    Checked by solving for the x tail directly on every generated member,
+
+def no_orthogonal_completion_in(layers):
+    """True when no member of the layers with orthogonal marks extends to a
+    witness.
+
+    Checked by solving for the x tail directly on every member,
     independently of the staircase algebra.
     """
-    for r, members in generate_balanced(r_max).items():
+    for members in layers.values():
         for pe in members:
-            i, j = pe.marked_rows()
-            if pe.pairing(i, j) != 0:
-                continue
-            if completion_x_tail(pe) is not None:
+            if pe.pairing(*pe.marked_rows()) == 0 \
+                    and completion_x_tail(pe) is not None:
                 return False
     return True

@@ -3,12 +3,14 @@
 Everything here recomputes expected values from first principles, without
 going through the code paths under test: determinants of
 incidence-flipped Goeritz matrices, Fraction inverses by Gauss-Jordan
-elimination, plain product-loop embedding searches, and a from-scratch
-solver for the partial witness family.
+elimination, plain product-loop embedding searches, a from-scratch
+solver for the partial witness family, and the canonical form of a
+partial witness over all row orders.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import isqrt
 
 from threebraid import expansions as xp
@@ -156,13 +158,29 @@ def _headed_pool(diag, tail_len, head):
     return tuple(head + t for t in norm_vectors(rem, tail_len))
 
 
+def permutation_canonical_form(pe):
+    """Least key of a partial witness over all r! cycle-row orders.
+
+    The key of one order is its two head columns sorted, then its tail
+    columns in decreasing order; y stays last.  Any heads are accepted.
+    """
+    v = pe.v_rows
+    best = None
+    for perm in permutations(range(len(v))):
+        cols = list(zip(*[v[p] for p in perm], pe.y_row))
+        key = tuple(sorted(cols[:2]) + sorted(cols[2:], reverse=True))
+        if best is None or key < best:
+            best = key
+    return best
+
+
 def brute_balanced(r):
     """Partial witnesses over all balanced words, solved from scratch.
 
     Enforces the definition directly: Gram = Goeritz + (-2), columns sum
     to one, meridian row (1, 1, 0, ...), and the marked-head structure
     (one row starting (1, -1), one starting (-1, 1), zeros elsewhere).
-    Returns a dict canonical form -> member.
+    Returns a dict permutation_canonical_form -> member.
     """
     width = r + 2
     found = {}
@@ -189,7 +207,7 @@ def brute_balanced(r):
                         ordered[order[t]] = row
                     pe = xp.PartialEmbedding(
                         tuple(ordered) + ((1, 1) + (0,) * r,))
-                    found.setdefault(xp.canonical_form(pe), pe)
+                    found.setdefault(permutation_canonical_form(pe), pe)
                 return
             for head in heads:
                 if head == (1, -1) and used_pos:

@@ -67,6 +67,19 @@ def test_u1_matrix_stages(capsys, tmp_path, g1079_matrix):
     assert "stage: witness" in out and out.count("witness matrix:") == 1
 
 
+def test_u1_matrix_refuses_impossible_sigma(capsys, tmp_path):
+    """A knot has D = sigma + 1 (mod 4); other pairs are refused."""
+    for matrix in (((-5,),), ((-1,),)):
+        path = _matrix_file(tmp_path, matrix)
+        code, out, err = run_cli(capsys, "u1", "--matrix", path,
+                                 "--sigma", "2")
+        assert code == 2 and out == "" and "sigma + 1 (mod 4)" in err
+    path = _matrix_file(tmp_path, ((-5,),))
+    code, out, _ = run_cli(capsys, "u1", "--matrix", path, "--sigma", "0")
+    assert code == 0
+    assert out == "determinant: 5   n: 3\nstage: search_empty\n"
+
+
 def test_symmetry_matrix(capsys, tmp_path, g87_matrix, g1079_matrix):
     out_path = tmp_path / "sym.json"
     code, out, _ = run_cli(capsys, "symmetry", "--matrix",
@@ -158,11 +171,16 @@ def test_embed_subcommand(capsys, tmp_path):
     assert "2 embedding class(es)" in out
 
 
-def test_b0(capsys):
+def test_b0(capsys, monkeypatch):
+    calls = []
+    generate = cli.expansions.generate_balanced
+    monkeypatch.setattr(cli.expansions, "generate_balanced",
+                        lambda r_max: calls.append(r_max) or generate(r_max))
     code, out, _ = run_cli(capsys, "b0", "--rmax", "4", "--check")
     assert code == 0
     assert "r = 4: 5 member(s)" in out
     assert "no witness x row: True" in out
+    assert calls == [4]  # the check reuses the generated layers
 
 
 def test_pretzel_check(capsys):

@@ -1,9 +1,18 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from threebraid import embed, expansions as xp, goeritz, linalg
 from threebraid.braid import AltBraidWord
 
 import oracles
+
+
+@lru_cache(maxsize=None)
+def _members(r_max):
+    layers = xp.generate_balanced(r_max)
+    return tuple(pe for ms in layers.values() for pe in ms)
 
 
 def test_seeds_are_members():
@@ -43,6 +52,46 @@ def test_generation_matches_bruteforce_small():
     for r in (2, 3, 4):
         brute = oracles.brute_balanced(r)
         assert set(brute) == {xp.canonical_form(pe) for pe in layers[r]}, r
+
+
+def test_canonical_form_matches_permutation_oracle():
+    """Pinning the marked rows gives the key of all r! row orders."""
+    seeds = (xp.SEED_M1, xp.SEED_M2, xp.SEED_M3)
+    moves = [(pe, step) for pe in seeds + _members(5)
+             for step in xp._expansion_steps(pe)]
+    assert {step.kind for _, step in moves} == {1, 3}
+    grown = [xp.expand(pe, step) for pe, step in moves]
+    assert max(pe.r for pe in grown) == 6
+    for pe in seeds + tuple(grown):
+        assert xp.canonical_form(pe) == oracles.permutation_canonical_form(pe)
+
+
+@st.composite
+def relabelled_members(draw):
+    """A member up to rank 7 and a copy with its rows and columns moved."""
+    pe = draw(st.sampled_from(_members(7)))
+    order = draw(st.permutations(range(pe.r)))
+    head = draw(st.sampled_from(((0, 1), (1, 0))))
+    tail = draw(st.permutations(range(2, pe.r + 2)))
+    cols = head + tuple(tail)
+    rows = tuple(tuple(pe.v_rows[t][c] for c in cols) for t in order)
+    return pe, xp.PartialEmbedding(rows + (pe.y_row,))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(relabelled_members())
+def test_canonical_form_ignores_relabelling(pair):
+    pe, copy = pair
+    assert xp.canonical_form(copy) == xp.canonical_form(pe)
+
+
+def test_canonical_form_needs_the_marked_heads():
+    no_marks = xp.PartialEmbedding(((0, 0, 2, 0), (0, 0, -1, 1), (1, 1, 0, 0)))
+    stray_head = xp.PartialEmbedding(((1, -1, 1, 0, 0), (-1, 1, 0, 1, 0),
+                                      (1, 0, 0, 0, 1), (1, 1, 0, 0, 0)))
+    for pe in (no_marks, stray_head):
+        with pytest.raises(ValueError):
+            xp.canonical_form(pe)
 
 
 def test_column_multisets():
@@ -105,21 +154,19 @@ def test_kind2_never_generated():
 
 def test_structure_check_m5():
     _, m5 = _build_m5()
-    st = xp.orthogonal_marked_structure(m5)
-    assert (st.k, st.l) == (1, 1)
+    block = xp.orthogonal_marked_structure(m5)
+    assert (block.k, block.l) == (1, 1)
 
 
 def test_structure_check_all_orthogonal():
-    layers = xp.generate_balanced(6)
-    seen = 0
-    for ms in layers.values():
-        for pe in ms:
-            if pe.pairing(*pe.marked_rows()) != 0:
-                continue
-            st = xp.orthogonal_marked_structure(pe)
-            assert st.k >= 1 and st.l >= 1
-            seen += 1
-    assert seen == 6
+    seen = {}
+    for pe in _members(7):
+        if pe.pairing(*pe.marked_rows()) != 0:
+            continue
+        block = xp.orthogonal_marked_structure(pe)
+        assert block.k >= 1 and block.l >= 1
+        seen[pe.r] = seen.get(pe.r, 0) + 1
+    assert seen == {4: 1, 5: 1, 6: 4, 7: 8}
 
 
 def test_structure_check_precondition():
