@@ -19,12 +19,11 @@ from .embed import (CriterionWitness, EmbeddingMatrix, PipelineReport,
                     embed_form, extract_crossing_sigma2, normalize_sigma2,
                     normalize_sigma0_and_extract, u1_pipeline,
                     verify_unknotting, word_symmetry_obstruction)
-from .expansions import (PartialEmbedding, contract, expand,
-                         generate_balanced, no_orthogonal_completion,
+from .expansions import (PartialEmbedding, expand, generate_balanced,
+                         no_orthogonal_completion,
                          orthogonal_marked_structure)
-from .forms import (DTable, char_box, coker_map, covector_square,
-                    d_table_halfint_unknot, d_table_sharp,
-                    halfint_symmetry_test, one_vector_coverage,
+from .forms import (DTable, char_box, coker_map, d_table_halfint_unknot,
+                    d_table_sharp, halfint_symmetry_test, one_vector_coverage,
                     twist_knot_form)
 from .goeritz import (GoeritzForm, InvariantRecord, d_bound_predicate,
                       determinant, goeritz_3braid, invariants,

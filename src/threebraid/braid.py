@@ -380,7 +380,7 @@ def _classify(syms, trace):
         return ReductionOutcome("B", word_from_symbols(out), trace, h_factor=True)
     tail = syms[i0 + 1:] + syms[:i0]
     if not all(s == 2 for s in tail) or not 1 <= len(tail) <= 3:
-        raise AssertionError(f"unclassifiable stuck word {syms}")
+        raise TheoremViolation(f"unclassifiable stuck word {syms}")
     return ReductionOutcome("C", word_from_symbols([1] + tail, cyclic=False), trace)
 
 
@@ -452,7 +452,7 @@ def _tagged_from_marked(syms, mark):
     positions = [(mark - off) % n for off in range(n)
                  if tuple(syms[(off + i) % n] for i in range(n)) == target]
     if not positions:
-        raise AssertionError("mark tracking lost")
+        raise TheoremViolation("mark tracking lost")
     letter, _ = _letter_of_crossing(word, min(positions))
     # crossings inside one block are interchangeable; slot 0 represents them
     return TaggedDiagram(word, CrossingRef(letter, 0))

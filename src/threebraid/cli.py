@@ -134,6 +134,8 @@ def _enumerate_one(word):
 
 
 def cmd_enumerate(args):
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
     words = [w for w in braid.alt_words(args.bound)
              if braid.is_knot_closure(w.raw())]
     if args.workers > 1:

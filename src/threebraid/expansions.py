@@ -1,12 +1,13 @@
-"""Partial witness matrices built by contraction and expansion.
+"""Partial witness matrices grown by expansion moves.
 
 A partial witness is the matrix a signature-0 witness would have without
 its x row: rows v_1, ..., v_r and y = (1, 1, 0, ..., 0), every column
 summing to 1, and -B B^T equal to a 3-braid Goeritz form plus (-2).  The
 balanced family (equal exponent sums on both sides of the word, r >= 2)
-is generated from three small seed matrices by two kinds of expansion
-move; a brute-force solver over the defining constraints is kept in the
-test suite as an independent check.
+is generated from three small seed matrices by the two kinds of
+expansion move, kind 1 and kind 3; the library only grows matrices.  The
+test suite keeps the inverse contraction, and a brute-force solver over
+the defining constraints as an independent check.
 
 Exactly two rows meet the first two columns, with head patterns (1, -1)
 and (-1, 1); their lattice pairing decides whether the matrix could ever
@@ -63,7 +64,7 @@ class PartialEmbedding:
 
 @dataclass(frozen=True)
 class ExpansionStep:
-    """One expansion move: kind 1, 2 or 3, acting rows, and the pivot column.
+    """One expansion move: kind 1 or 3, acting rows, and the pivot column.
 
     Row roles follow the column patterns: `a` keeps its entries, `b` is
     modified, and kind 3 also modifies the extra row `c`.
@@ -149,12 +150,6 @@ def goeritz_parameters(pe):
     return (tuple(a_seq), tuple(b_seq))
 
 
-def is_balanced(pe):
-    """Whether the underlying word has equal exponent sums (sum a = sum b)."""
-    a_seq, b_seq = goeritz_parameters(pe)
-    return sum(a_seq) == sum(b_seq)
-
-
 def _validate(pe):
     goeritz_parameters(pe)
     pe.marked_rows()
@@ -203,9 +198,7 @@ def expand(pe, step):
     kind 1: a column supported only on row `a` (entry 1) splits; row `b`
             (pairing with `a` at least 1) picks up a new entry.
     kind 3: a column with entries +1 on `a` and `c` and -1 on `b` splits.
-    kind 2 is the reverse of the doubled-entry contraction; it never
-            occurs when generating from the seeds, but is implemented for
-            completeness.
+    Any other kind is a ValueError.
     """
     rows = [list(r) for r in pe.rows]
     width = len(rows[0])
@@ -237,74 +230,9 @@ def expand(pe, step):
         rows[b][col] = 0
         rows[b][-1] = -1
         rows[c][-1] = 1
-    elif step.kind == 2:
-        if sorted(support) != sorted((a, b)):
-            raise ValueError("kind-2 column must be supported on rows a, b")
-        if rows[a][col] != 2 or rows[b][col] != -1:
-            raise ValueError("kind-2 column pattern is (2, -1)")
-        rows[b][col] = 0
-        rows[b][-1] = -1
-        rows[a][-1] = 1
     else:
         raise ValueError(f"unknown expansion kind {step.kind}")
     rows.insert(v_count, new_row)
-    return _validate(PartialEmbedding(tuple(tuple(r) for r in rows)))
-
-
-def contract(pe, s, keep=None):
-    """Delete a norm-2 cycle row, merging its two columns' roles.
-
-    The row must have entries one +1 and one -1, the rank must exceed 2,
-    and the local column pattern must match one of the three move kinds.
-    For kind 1 `keep` names the row keeping its entry (default: a row of
-    square less than -2).
-    """
-    rows = [list(r) for r in pe.rows]
-    v_count = len(rows) - 1
-    if not 0 <= s < v_count:
-        raise ValueError("can only contract a cycle row")
-    if v_count <= 2:
-        raise ValueError("contraction needs r > 2")
-    row = rows[s]
-    if sorted(v for v in row if v) != [-1, 1]:
-        raise ValueError("row must have square -2")
-    p = row.index(1)
-    q = row.index(-1)
-    if p < 2 or q < 2:
-        raise ValueError("marked rows never contract")
-    p_support = [t for t, rr in enumerate(rows) if rr[p] and t != s]
-    q_support = [t for t, rr in enumerate(rows) if rr[q] and t != s]
-    if not p_support:
-        plus = [t for t in q_support if rows[t][q] == 1]
-        if sorted(rows[t][q] for t in q_support) != [1, 1]:
-            raise ValueError("kind-1 pattern needs two 1 entries beside the -1")
-        if keep is None:
-            heavy = [t for t in plus
-                     if sum(v * v for v in rows[t]) > 2]
-            keep = heavy[0] if heavy else plus[0]
-        if keep not in plus:
-            raise ValueError("keep must be one of the two 1-entry rows")
-        drop = plus[0] if plus[1] == keep else plus[1]
-        rows[drop][q] = 0
-    elif sorted(rows[t][q] for t in q_support) == [2]:
-        # kind 2: the doubled entry stays, the -1 moves across
-        b = [t for t in p_support if rows[t][p] == -1]
-        a = q_support
-        if len(b) != 1 or sorted(rows[t][p] for t in p_support) != [-1, 1]:
-            raise ValueError("kind-2 pattern mismatch around the pivot")
-        rows[b[0]][q] = -1
-    else:
-        # kind 3: column q holds (1, 1); column p holds (1, -1) on c and b
-        if sorted(rows[t][q] for t in q_support) != [1, 1]:
-            raise ValueError("unrecognized contraction pattern")
-        b = [t for t in p_support if rows[t][p] == -1]
-        c = [t for t in p_support if rows[t][p] == 1]
-        if len(b) != 1 or len(c) != 1 or c[0] not in q_support:
-            raise ValueError("kind-3 pattern mismatch around the pivot")
-        rows[b[0]][q] = -1
-    del rows[s]
-    for rr in rows:
-        del rr[p]
     return _validate(PartialEmbedding(tuple(tuple(r) for r in rows)))
 
 

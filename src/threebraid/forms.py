@@ -123,18 +123,6 @@ def _adjugate_square(adj, c):
     return sum(ci * a * cj for ci, row in zip(c, adj) for a, cj in zip(row, c))
 
 
-def covector_square(m, c):
-    """Exact value of c M^-1 c^T for a characteristic covector c."""
-    if len(c) != len(m):
-        raise ValueError("dimension mismatch")
-    if any((ci - m[i][i]) % 2 for i, ci in enumerate(c)):
-        raise ValueError("covector is not characteristic")
-    d = linalg.det(m)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    return Fraction(_adjugate_square(linalg.adjugate(m), c), d)
-
-
 @dataclass(frozen=True)
 class DTable:
     """Correction terms of a half-integer-surgery candidate, by label in Z/D.
@@ -221,24 +209,29 @@ def d_table_halfint_unknot(D):
     Values are (square of the tabulated maximizer + 2)/4 over the twist
     knot form with n = (D+1)/2, computed at the nonnegative label
     representatives and copied to negative labels by conjugation; labels
-    reached twice are cross-checked for agreement.
+    reached twice are cross-checked for agreement.  Every maximizer must
+    be characteristic with the right label; squares are compared as the
+    integers c adj(M) c^T, as in d_table_sharp.
     """
     if D < 3 or D % 2 == 0:
         raise ValueError("D must be odd and at least 3")
     n = (D + 1) // 2
     rn = twist_knot_form(n)
     coker = coker_map(rn)
+    adj, det = linalg.adjugate(rn), linalg.det(rn)
     values = [None] * D
     for i in range(n + 1):
         squares = []
         for alpha in _table_maximizers(D, i):
             if coker.label(alpha) != (2 * i) % D:
                 raise TheoremViolation(f"maximizer {alpha} has the wrong label")
-            squares.append(covector_square(rn, alpha))
+            if any((a - rn[t][t]) % 2 for t, a in enumerate(alpha)):
+                raise TheoremViolation(f"maximizer {alpha} is not characteristic")
+            squares.append(_adjugate_square(adj, alpha))
         sq = squares[0]
         if any(s != sq for s in squares):
             raise TheoremViolation(f"maximizers disagree: {(D, i, squares)}")
-        val = (sq + 2) / 4
+        val = (Fraction(sq, det) + 2) / 4
         for res in (i % D, -i % D):
             if values[res] is None:
                 values[res] = val
@@ -247,18 +240,19 @@ def d_table_halfint_unknot(D):
     return DTable(D, tuple(values))
 
 
-def halfint_symmetry_test(table, D):
+def halfint_symmetry_test(table, unknot):
     """Correction-term symmetry test against the unknot table.
 
+    `unknot` is d_table_halfint_unknot(D) for the table's determinant D.
     True iff some unit relabelling i -> u*i of the candidate table makes
     the differences against the unknot table symmetric about k, where
     D = 2n - 1 and n = 2k or 2k + 1; label 0 joins the checks only for odd
     n.  Quantifying over units keeps the obstruction conservative: a False
     here is certain.
     """
+    D = unknot.determinant
     if table.determinant != D:
         raise ValueError("table determinant mismatch")
-    tU = d_table_halfint_unknot(D)
     n = (D + 1) // 2
     k = n // 2
     idxs = list(range(1, k + 1))
@@ -267,8 +261,8 @@ def halfint_symmetry_test(table, D):
     for u in range(1, D):
         if gcd(u, D) != 1:
             continue
-        if all(table[u * i] - tU[i] == table[u * (2 * k - i)] - tU[2 * k - i]
-               for i in idxs):
+        if all(table[u * i] - unknot[i]
+               == table[u * (2 * k - i)] - unknot[2 * k - i] for i in idxs):
             return True
     return False
 
@@ -277,12 +271,14 @@ def symmetry_sides(m):
     """The symmetry test on both orientations of the sharp table of m.
 
     Returns {"table": bool, "negated": bool}; the caller picks the side.
+    Both sides are tested against one unknot table.
     """
     table = d_table_sharp(m)
     d = table.determinant
     negated = DTable(d, tuple(-v for v in table.values))
-    return {"table": halfint_symmetry_test(table, d),
-            "negated": halfint_symmetry_test(negated, d)}
+    unknot = d_table_halfint_unknot(d)
+    return {"table": halfint_symmetry_test(table, unknot),
+            "negated": halfint_symmetry_test(negated, unknot)}
 
 
 def one_vector_coverage(a, m):

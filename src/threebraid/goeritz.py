@@ -105,20 +105,6 @@ def signature_normal_form(d, word):
     return -4 * d + sum(a - b for a, b in word.pairs)
 
 
-def signature_torus3(q):
-    """Signature of the (3, q) torus knot, q not divisible by 3."""
-    if q % 3 == 0:
-        raise ValueError("T(3, q) needs q coprime to 3")
-    for d in range(0, abs(q) // 6 + 2):
-        for s, val in ((1, -8 * d), (-1, -8 * d),
-                       (2, -8 * d - 2), (-2, -8 * d + 2)):
-            if 6 * d + s == q:
-                return val
-            if -(6 * d + s) == q:
-                return -val
-    raise AssertionError(q)
-
-
 def s_invariant_normal_form(d, word):
     """Rasmussen invariant of the closure of (full twist)^d times the word."""
     s0 = -signature_normal_form(0, word)
@@ -127,13 +113,6 @@ def s_invariant_normal_form(d, word):
     if d < 0:
         return 6 * d + 2 + s0
     return s0
-
-
-def s_invariant_torus3(q):
-    """Rasmussen invariant of T(3, q): 2(q-1) for q >= 1, 2(q+1) for q <= -1."""
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    return 2 * (q - 1) if q >= 1 else 2 * (q + 1)
 
 
 def d_bound_predicate(d, sigma):
@@ -184,28 +163,6 @@ def invariants(word):
     sigma = signature_normal_form(0, word)
     return InvariantRecord(det, sigma, s_invariant_normal_form(0, word),
                            (det + 1) // 2)
-
-
-def flip_hub_crossing(form, region):
-    """Goeritz matrix after flipping one hub-crossing incidence at a region.
-
-    Only the diagonal entry of that region moves, by +2.
-    """
-    rows = [list(row) for row in form.matrix]
-    rows[region][region] += 2
-    return tuple(tuple(row) for row in rows)
-
-
-def flip_cycle_crossing(form, i):
-    """Goeritz matrix after flipping the incidence of cycle edge (i, i+1)."""
-    r = form.r
-    j = (i + 1) % r
-    rows = [list(row) for row in form.matrix]
-    rows[i][j] -= 2
-    rows[j][i] -= 2
-    rows[i][i] += 2
-    rows[j][j] += 2
-    return tuple(tuple(row) for row in rows)
 
 
 def load_goeritz_json(text):

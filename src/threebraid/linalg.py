@@ -28,13 +28,6 @@ def is_symmetric(m):
     )
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def gram(rows):
     """Gram matrix of the rows under the Euclidean dot product."""
     return tuple(

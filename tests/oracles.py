@@ -6,6 +6,14 @@ incidence-flipped Goeritz matrices, Fraction inverses by Gauss-Jordan
 elimination, plain product-loop embedding searches, a from-scratch
 solver for the partial witness family, and the canonical form of a
 partial witness over all row orders.
+
+It also holds the helpers that only tests call, so the library keeps to
+the decision path: the incidence flips `flip_hub_crossing` and
+`flip_cycle_crossing`, the torus-knot invariants `signature_torus3` and
+`s_invariant_torus3`, the matrix product `mat_mul`, the square of one
+covector `covector_square`, and, for partial witnesses, the balance test
+`is_balanced` and the contraction `contract` that undoes an expansion
+move.
 """
 
 from fractions import Fraction
@@ -14,10 +22,59 @@ from itertools import permutations
 from math import isqrt
 
 from threebraid import expansions as xp
-from threebraid import linalg
+from threebraid import forms, linalg
 from threebraid.braid import AltBraidWord
-from threebraid.goeritz import (flip_cycle_crossing, flip_hub_crossing,
-                                goeritz_3braid)
+from threebraid.goeritz import goeritz_3braid
+
+
+def mat_mul(a, b):
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def flip_hub_crossing(form, region):
+    """Goeritz matrix after flipping one hub-crossing incidence at a region.
+
+    Only the diagonal entry of that region moves, by +2.
+    """
+    rows = [list(row) for row in form.matrix]
+    rows[region][region] += 2
+    return tuple(tuple(row) for row in rows)
+
+
+def flip_cycle_crossing(form, i):
+    """Goeritz matrix after flipping the incidence of cycle edge (i, i+1)."""
+    r = form.r
+    j = (i + 1) % r
+    rows = [list(row) for row in form.matrix]
+    rows[i][j] -= 2
+    rows[j][i] -= 2
+    rows[i][i] += 2
+    rows[j][j] += 2
+    return tuple(tuple(row) for row in rows)
+
+
+def signature_torus3(q):
+    """Signature of the (3, q) torus knot, q not divisible by 3."""
+    if q % 3 == 0:
+        raise ValueError("T(3, q) needs q coprime to 3")
+    for d in range(0, abs(q) // 6 + 2):
+        for s, val in ((1, -8 * d), (-1, -8 * d),
+                       (2, -8 * d - 2), (-2, -8 * d + 2)):
+            if 6 * d + s == q:
+                return val
+            if -(6 * d + s) == q:
+                return -val
+    raise AssertionError(q)
+
+
+def s_invariant_torus3(q):
+    """Rasmussen invariant of T(3, q): 2(q-1) for q >= 1, 2(q+1) for q <= -1."""
+    if q == 0:
+        raise ValueError("q must be nonzero")
+    return 2 * (q - 1) if q >= 1 else 2 * (q + 1)
 
 
 def changed_determinant(word, block):
@@ -57,6 +114,22 @@ def fraction_inverse(m):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return tuple(tuple(row[n:]) for row in a)
+
+
+def covector_square(m, c):
+    """c M^-1 c^T for a characteristic covector c, from the integer score.
+
+    The library's c adj(M) c^T divided by det(M); the Fraction oracles
+    above check it.
+    """
+    if len(c) != len(m):
+        raise ValueError("dimension mismatch")
+    if any((ci - m[i][i]) % 2 for i, ci in enumerate(c)):
+        raise ValueError("covector is not characteristic")
+    d = linalg.det(m)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    return Fraction(forms._adjugate_square(linalg.adjugate(m), c), d)
 
 
 def fraction_square(m, c):
@@ -156,6 +229,70 @@ def _headed_pool(diag, tail_len, head):
     if rem < 0:
         return ()
     return tuple(head + t for t in norm_vectors(rem, tail_len))
+
+
+def is_balanced(pe):
+    """Whether the underlying word has equal exponent sums (sum a = sum b)."""
+    a_seq, b_seq = xp.goeritz_parameters(pe)
+    return sum(a_seq) == sum(b_seq)
+
+
+def contract(pe, s, keep=None):
+    """Delete a norm-2 cycle row, merging its two columns' roles.
+
+    The inverse of an expansion move.  The row must have entries one +1
+    and one -1, the rank must exceed 2, and the local column pattern must
+    match one of three move kinds: kind 1 and kind 3 undo the library's
+    expansions, kind 2 removes a doubled-entry pattern that the seeds
+    never generate.  For kind 1 `keep` names the row keeping its entry
+    (default: a row of square less than -2).
+    """
+    rows = [list(r) for r in pe.rows]
+    v_count = len(rows) - 1
+    if not 0 <= s < v_count:
+        raise ValueError("can only contract a cycle row")
+    if v_count <= 2:
+        raise ValueError("contraction needs r > 2")
+    row = rows[s]
+    if sorted(v for v in row if v) != [-1, 1]:
+        raise ValueError("row must have square -2")
+    p = row.index(1)
+    q = row.index(-1)
+    if p < 2 or q < 2:
+        raise ValueError("marked rows never contract")
+    p_support = [t for t, rr in enumerate(rows) if rr[p] and t != s]
+    q_support = [t for t, rr in enumerate(rows) if rr[q] and t != s]
+    if not p_support:
+        plus = [t for t in q_support if rows[t][q] == 1]
+        if sorted(rows[t][q] for t in q_support) != [1, 1]:
+            raise ValueError("kind-1 pattern needs two 1 entries beside the -1")
+        if keep is None:
+            heavy = [t for t in plus
+                     if sum(v * v for v in rows[t]) > 2]
+            keep = heavy[0] if heavy else plus[0]
+        if keep not in plus:
+            raise ValueError("keep must be one of the two 1-entry rows")
+        drop = plus[0] if plus[1] == keep else plus[1]
+        rows[drop][q] = 0
+    elif sorted(rows[t][q] for t in q_support) == [2]:
+        # kind 2: the doubled entry stays, the -1 moves across
+        b = [t for t in p_support if rows[t][p] == -1]
+        if len(b) != 1 or sorted(rows[t][p] for t in p_support) != [-1, 1]:
+            raise ValueError("kind-2 pattern mismatch around the pivot")
+        rows[b[0]][q] = -1
+    else:
+        # kind 3: column q holds (1, 1); column p holds (1, -1) on c and b
+        if sorted(rows[t][q] for t in q_support) != [1, 1]:
+            raise ValueError("unrecognized contraction pattern")
+        b = [t for t in p_support if rows[t][p] == -1]
+        c = [t for t in p_support if rows[t][p] == 1]
+        if len(b) != 1 or len(c) != 1 or c[0] not in q_support:
+            raise ValueError("kind-3 pattern mismatch around the pivot")
+        rows[b[0]][q] = -1
+    del rows[s]
+    for rr in rows:
+        del rr[p]
+    return xp._validate(xp.PartialEmbedding(tuple(tuple(r) for r in rows)))
 
 
 def permutation_canonical_form(pe):

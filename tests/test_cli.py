@@ -197,3 +197,14 @@ def test_enumerate_small(capsys, tmp_path):
     assert "agreement: True" in out
     doc = json.loads(out_path.read_text())
     assert all(r["verdict"] in ("witness", "obstructed") for r in doc["results"])
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_enumerate_refuses_fewer_than_one_worker(capsys, monkeypatch, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(cli.multiprocessing, "Pool", no_pool)
+    code, out, err = run_cli(capsys, "enumerate", "--bound", "4",
+                             "--workers", workers)
+    assert code == 2 and out == "" and "--workers" in err

@@ -20,7 +20,7 @@ def test_seeds_are_members():
     assert xp.goeritz_parameters(xp.SEED_M2) == ((1, 1), (1, 1))
     assert xp.goeritz_parameters(xp.SEED_M3) == ((1, 1, 1), (1, 1, 1))
     for seed in (xp.SEED_M1, xp.SEED_M2, xp.SEED_M3):
-        assert xp.is_balanced(seed)
+        assert oracles.is_balanced(seed)
         assert linalg.neg(linalg.gram(seed.rows))[-1][-1] == -2
 
 
@@ -123,25 +123,39 @@ def test_expand_m4_m5_route():
     assert xp.goeritz_parameters(m5) == ((2, 2), (2, 2))
 
 
+def test_expand_rejections():
+    """Moves the member cannot take raise ValueError; kind 2 is not a move."""
+    m2 = xp.SEED_M2
+    step = xp._expansion_steps(m2)[0]
+    bad = [(xp.ExpansionStep(1, step.a, step.a, step.col), "row roles"),
+           (xp.ExpansionStep(1, step.a, step.b, 1), "never split"),
+           (xp.ExpansionStep(3, step.a, step.b, step.col), "third row"),
+           (xp.ExpansionStep(2, step.a, step.b, step.col),
+            "unknown expansion kind")]
+    for move, message in bad:
+        with pytest.raises(ValueError, match=message):
+            xp.expand(m2, move)
+
+
 def test_contract_inverse():
     m2 = xp.SEED_M2
     step = xp._expansion_steps(m2)[0]
     m4 = xp.expand(m2, step)
-    assert xp.contract(m4, m4.r - 1, keep=step.a) == m2
+    assert oracles.contract(m4, m4.r - 1, keep=step.a) == m2
 
 
 def test_contract_rejections():
     with pytest.raises(ValueError):
-        xp.contract(xp.SEED_M1, 1)     # r = 2: contraction needs r > 2
+        oracles.contract(xp.SEED_M1, 1)  # r = 2: contraction needs r > 2
     _, m5 = _build_m5()
     marked = m5.marked_rows()[0]
     with pytest.raises(ValueError):
-        xp.contract(m5, marked)        # marked rows have square -4 here
+        oracles.contract(m5, marked)  # marked rows have square -4 here
     norm2 = [t for t, row in enumerate(m5.v_rows)
              if sum(v * v for v in row) == 2]
-    shrunk = xp.contract(m5, norm2[0])
+    shrunk = oracles.contract(m5, norm2[0])
     assert shrunk.r == 3
-    xp.goeritz_parameters(shrunk)      # still a member
+    xp.goeritz_parameters(shrunk)  # still a member
 
 
 def test_kind2_never_generated():
@@ -188,7 +202,7 @@ def test_completion_nonvacuous():
     a = rep.witnesses[0].matrix
     norm, _ = embed.normalize_sigma0_and_extract(a, g)
     pe = xp.PartialEmbedding(norm.v_rows + (norm.y_row,))
-    assert xp.is_balanced(pe)
+    assert oracles.is_balanced(pe)
     assert pe.pairing(*pe.marked_rows()) == 1
     tail = xp.completion_x_tail(pe)
     assert tail is not None

@@ -59,17 +59,17 @@ def test_char_box_counts(g87_matrix):
 
 
 def test_covector_square():
-    assert forms.covector_square(forms.twist_knot_form(5), (1, -2)) == -2
-    assert forms.covector_square(((-1,),), (1,)) == -1
+    assert oracles.covector_square(forms.twist_knot_form(5), (1, -2)) == -2
+    assert oracles.covector_square(((-1,),), (1,)) == -1
     with pytest.raises(ValueError):
-        forms.covector_square(((-1,),), (1, 1))
+        oracles.covector_square(((-1,),), (1, 1))
     with pytest.raises(ValueError):
-        forms.covector_square(forms.twist_knot_form(5), (2, 0))
+        oracles.covector_square(forms.twist_knot_form(5), (2, 0))
 
 
 def test_covector_square_nonpositive(g87_matrix):
     for c in forms.char_box(g87_matrix):
-        sq = forms.covector_square(g87_matrix, c)
+        sq = oracles.covector_square(g87_matrix, c)
         assert sq <= 0
         assert (sq == 0) == (all(v == 0 for v in c))
 
@@ -144,7 +144,7 @@ def test_integer_scoring_matches_fraction_oracle():
         best = [None] * D
         for c in forms.char_box(m):
             sq = oracles.fraction_square(m, c)
-            assert forms.covector_square(m, c) == sq
+            assert oracles.covector_square(m, c) == sq
             label = coker.label(c) * pow(2, -1, D) % D
             if best[label] is None or sq > best[label]:
                 best[label] = sq
@@ -181,12 +181,13 @@ def test_sharp_table_label_zero_is_quarter_signature():
 
 def test_symmetry_unknot_tables():
     for d in (3, 5, 9, 23):
-        assert forms.halfint_symmetry_test(forms.d_table_halfint_unknot(d), d)
+        unknot = forms.d_table_halfint_unknot(d)
+        assert forms.halfint_symmetry_test(unknot, unknot)
 
 
 def test_symmetry_trefoil():
     table = forms.d_table_sharp(((-3,),))
-    assert forms.halfint_symmetry_test(table, 3)
+    assert forms.halfint_symmetry_test(table, forms.d_table_halfint_unknot(3))
 
 
 def test_symmetry_perturbation_fails():
@@ -194,12 +195,34 @@ def test_symmetry_perturbation_fails():
     vals = list(t.values)
     vals[1] += 1
     vals[8] += 1
-    assert not forms.halfint_symmetry_test(forms.DTable(9, tuple(vals)), 9)
+    assert not forms.halfint_symmetry_test(forms.DTable(9, tuple(vals)), t)
 
 
 def test_symmetry_determinant_mismatch():
     with pytest.raises(ValueError):
-        forms.halfint_symmetry_test(forms.d_table_halfint_unknot(9), 11)
+        forms.halfint_symmetry_test(forms.d_table_halfint_unknot(9),
+                                    forms.d_table_halfint_unknot(11))
+
+
+def test_symmetry_sides_builds_one_unknot_table(monkeypatch, g87_matrix):
+    calls = []
+    build = forms.d_table_halfint_unknot
+    monkeypatch.setattr(forms, "d_table_halfint_unknot",
+                        lambda d: calls.append(d) or build(d))
+    assert forms.symmetry_sides(g87_matrix) == {"table": False,
+                                                "negated": True}
+    assert calls == [23]  # both orientations share the table
+
+
+def test_unknot_table_checks_its_maximizers(monkeypatch):
+    """A tabulated maximizer that is not characteristic is a theorem failure.
+
+    For D = 5 (n = 3) the covector (2i, 0) has label 2i but an even first
+    entry, while characteristic needs it odd.
+    """
+    monkeypatch.setattr(forms, "_table_maximizers", lambda D, i: ((2 * i, 0),))
+    with pytest.raises(forms.TheoremViolation, match="not characteristic"):
+        forms.d_table_halfint_unknot(5)
 
 
 def test_coverage_pretzel():

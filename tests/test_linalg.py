@@ -62,8 +62,8 @@ def test_adjugate_identity(m):
     scaled = tuple(tuple(d * (i == j) for j in range(len(m)))
                    for i in range(len(m)))
     adj = linalg.adjugate(m)
-    assert linalg.mat_mul(adj, m) == scaled
-    assert linalg.mat_mul(m, adj) == scaled
+    assert oracles.mat_mul(adj, m) == scaled
+    assert oracles.mat_mul(m, adj) == scaled
 
 
 @SETTINGS

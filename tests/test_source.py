@@ -27,3 +27,14 @@ def test_no_floating_point_in_the_library():
                  and isinstance(node.value, (float, complex)))
              or (isinstance(node, ast.Name) and node.id == "float")]
     assert found == []
+
+
+def test_no_bare_assertion_errors_in_the_library():
+    """Failed checks raise TheoremViolation, which names them as such."""
+    def raised(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return getattr(exc, "id", None)
+
+    found = [where for where, node in _library_nodes()
+             if isinstance(node, ast.Raise) and raised(node) == "AssertionError"]
+    assert found == []
