@@ -22,8 +22,8 @@ from .embed import (CriterionWitness, EmbeddingMatrix, PipelineReport,
 from .expansions import (PartialEmbedding, expand, generate_balanced,
                          no_orthogonal_completion,
                          orthogonal_marked_structure)
-from .forms import (DTable, char_box, coker_map, d_table_halfint_unknot,
-                    d_table_sharp, halfint_symmetry_test, one_vector_coverage,
+from .forms import (DTable, coker_map, d_table_halfint_unknot, d_table_sharp,
+                    halfint_symmetry_test, one_vector_coverage,
                     twist_knot_form)
 from .goeritz import (GoeritzForm, InvariantRecord, d_bound_predicate,
                       determinant, goeritz_3braid, invariants,

@@ -15,7 +15,6 @@ test, so the overall sign convention cancels there.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 from . import linalg
@@ -76,15 +75,22 @@ class CokerMap:
             sum(self.transform[r][j] * vec[j] for j in range(len(vec))) % d
             for r, d in zip(self.factor_rows, self.invariant_factors))
 
-    def label(self, vec):
-        """Label in Z/D for cyclic cokernels of order D."""
+    @property
+    def label_row(self):
+        """Integer row w with label(vec) = w . vec mod D, for cyclic cokernels."""
         if not self.is_cyclic:
             raise NonCyclicCokernel(self.invariant_factors)
         if self.twist_n is not None:
-            return (vec[0] + self.twist_n * vec[1]) % self.order
+            return (1, self.twist_n)
         if not self.invariant_factors:
-            return 0
-        return self.class_of(vec)[0]
+            return (0,) * len(self.matrix)
+        return self.transform[self.factor_rows[0]]
+
+    def label(self, vec):
+        """Label in Z/D for cyclic cokernels of order D."""
+        if len(vec) != len(self.matrix):
+            raise ValueError("dimension mismatch")
+        return sum(w * v for w, v in zip(self.label_row, vec)) % self.order
 
 
 def coker_map(m):
@@ -102,20 +108,6 @@ def coker_map(m):
     if len(m) == 2 and m == twist_knot_form(-m[0][0]):
         twist_n = -m[0][0]
     return CokerMap(m, tuple(factors), u, tuple(rows), twist_n)
-
-
-def char_box(m):
-    """All characteristic covectors c with M_ii <= c_i <= -M_ii.
-
-    The box contains a square-maximizer in every cokernel class: a
-    characteristic covector outside it reflects inside by steps of twice a
-    basis row without decreasing its square.
-    """
-    m = linalg.freeze(m)
-    if not is_negative_definite(m):
-        raise ValueError("matrix must be negative definite")
-    axes = [range(m[i][i], -m[i][i] + 1, 2) for i in range(len(m))]
-    return tuple(product(*axes))
 
 
 def _adjugate_square(adj, c):
@@ -164,7 +156,16 @@ def d_table_sharp(m):
     d at a spin-c label t is the maximum of (c^2 + k)/4 over characteristic
     covectors c in every class restricting to t; the label of a covector
     divides its cokernel class by 2.  Needs odd determinant and cyclic
-    cokernel.  Squares are compared as the integers D c^2 = (-1)^k c adj(M) c^T.
+    cokernel.
+
+    The maxima are taken over the box M_ii <= c_i <= -M_ii, which holds a
+    square-maximizer of every cokernel class: a characteristic covector
+    outside it reflects inside by steps of twice a basis row without
+    decreasing its square.  Squares are compared as the integers
+    D c^2 = c A c^T with A = (-1)^k adj(M).  One walk over the box fixes
+    c_0, c_1, ... in turn and carries the partial score over the fixed
+    coordinates, their row sums against A and their partial label, so each
+    innermost step costs O(1).
     """
     m = linalg.freeze(m)
     coker = coker_map(m)
@@ -174,14 +175,31 @@ def d_table_sharp(m):
     if not coker.is_cyclic:
         raise NonCyclicCokernel(coker.invariant_factors)
     k = len(m)
-    inv2 = pow(2, -1, D) if D > 1 else 0
-    adj = linalg.adjugate(m)
+    a = [[(-1) ** k * x for x in row] for row in linalg.adjugate(m)]
+    inv2 = pow(2, -1, D)
+    w = [x * inv2 % D for x in coker.label_row]
+    axes = [range(m[i][i], -m[i][i] + 1, 2) for i in range(k)]
     best = [None] * D
-    for c in char_box(m):
-        sq = (-1) ** k * _adjugate_square(adj, c)
-        label = (coker.label(c) * inv2) % D
-        if best[label] is None or sq > best[label]:
-            best[label] = sq
+
+    def walk(t, q, lin, lab):
+        # q = sum over i, j < t of c_i A_ij c_j, lin_j = sum over i < t of
+        # c_i A_ij, lab = sum over i < t of w_i c_i
+        row, att, wt, twice = a[t], a[t][t], w[t], 2 * lin[t]
+        if t == k - 1:
+            for c in axes[t]:
+                sq = q + c * (twice + att * c)
+                label = (lab + wt * c) % D
+                if best[label] is None or sq > best[label]:
+                    best[label] = sq
+            return
+        for c in axes[t]:
+            walk(t + 1, q + c * (twice + att * c),
+                 [x + c * y for x, y in zip(lin, row)], lab + wt * c)
+
+    if k:
+        walk(0, 0, [0] * k, 0)
+    else:
+        best = [0]          # the empty form: one covector, c = ()
     if any(b is None for b in best):
         raise TheoremViolation("a label has no covector in the box")
     return DTable(D, tuple((Fraction(b, D) + k) / 4 for b in best))

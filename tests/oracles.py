@@ -13,12 +13,14 @@ the decision path: the incidence flips `flip_hub_crossing` and
 `s_invariant_torus3`, the matrix product `mat_mul`, the square of one
 covector `covector_square`, and, for partial witnesses, the balance test
 `is_balanced` and the contraction `contract` that undoes an expansion
-move.
+move.  The characteristic box `char_box` and the per-point sweep over it,
+`box_d_table_sharp`, are the retired form of `forms.d_table_sharp`, kept
+as its differential oracle.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import isqrt
 
 from threebraid import expansions as xp
@@ -130,6 +132,38 @@ def covector_square(m, c):
     if d == 0:
         raise ValueError("matrix is singular")
     return Fraction(forms._adjugate_square(linalg.adjugate(m), c), d)
+
+
+def char_box(m):
+    """All characteristic covectors c with M_ii <= c_i <= -M_ii."""
+    m = linalg.freeze(m)
+    if not linalg.is_negative_definite(m):
+        raise ValueError("matrix must be negative definite")
+    axes = [range(m[i][i], -m[i][i] + 1, 2) for i in range(len(m))]
+    return tuple(product(*axes))
+
+
+def box_d_table_sharp(m):
+    """The sharp table by scoring and labelling every point of char_box."""
+    m = linalg.freeze(m)
+    coker = forms.coker_map(m)
+    D = coker.order
+    if D % 2 == 0:
+        raise ValueError("discriminant must be odd")
+    if not coker.is_cyclic:
+        raise forms.NonCyclicCokernel(coker.invariant_factors)
+    k = len(m)
+    inv2 = pow(2, -1, D) if D > 1 else 0
+    adj = linalg.adjugate(m)
+    best = [None] * D
+    for c in char_box(m):
+        sq = (-1) ** k * forms._adjugate_square(adj, c)
+        label = (coker.label(c) * inv2) % D
+        if best[label] is None or sq > best[label]:
+            best[label] = sq
+    if any(b is None for b in best):
+        raise linalg.TheoremViolation("a label has no covector in the box")
+    return forms.DTable(D, tuple((Fraction(b, D) + k) / 4 for b in best))
 
 
 def fraction_square(m, c):

@@ -197,7 +197,7 @@ def test_acceptance_7_property_suites():
     m = goeritz.goeritz_3braid(W1079).matrix
     coker = forms.coker_map(m)
     best, wide = {}, {}
-    for c in forms.char_box(m):
+    for c in oracles.char_box(m):
         cls = coker.class_of(c)
         sq = oracles.fraction_square(m, c)
         if cls not in best or sq > best[cls]:

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from threebraid import braid, forms, goeritz, linalg
@@ -48,9 +49,9 @@ def test_coker_class_well_defined():
 
 
 def test_char_box_counts(g87_matrix):
-    assert len(forms.char_box(forms.twist_knot_form(2))) == 9
-    assert forms.char_box(((-1,),)) == ((-1,), (1,))
-    box = forms.char_box(g87_matrix)
+    assert len(oracles.char_box(forms.twist_knot_form(2))) == 9
+    assert oracles.char_box(((-1,),)) == ((-1,), (1,))
+    box = oracles.char_box(g87_matrix)
     # direct enumeration oracle: product of per-axis counts |M_ii| + 1
     assert len(box) == 7 * 4 * 3 == 84
     assert len(set(box)) == 84
@@ -68,7 +69,7 @@ def test_covector_square():
 
 
 def test_covector_square_nonpositive(g87_matrix):
-    for c in forms.char_box(g87_matrix):
+    for c in oracles.char_box(g87_matrix):
         sq = oracles.covector_square(g87_matrix, c)
         assert sq <= 0
         assert (sq == 0) == (all(v == 0 for v in c))
@@ -103,6 +104,49 @@ def test_dtable_sharp_noncyclic():
     assert exc.value.invariant_factors == (5, 5)
 
 
+def test_dtable_sharp_matches_box_oracle():
+    """The incremental walk equals the per-point box sweep it replaced.
+
+    Knot words of exponent <= 12 with r <= 5 and a cyclic cokernel, the
+    twist forms n <= 100, the rank-1 forms of odd determinant up to 9 and
+    the empty form.
+    """
+    cases = [forms.twist_knot_form(n) for n in range(1, 101)]
+    cases += [((-d,),) for d in range(1, 10, 2)] + [()]
+    words = 0
+    for word in braid.alt_words(12):
+        if not braid.is_knot_closure(word.raw()):
+            continue
+        m = goeritz.goeritz_3braid(word).matrix
+        if len(m) <= 5 and forms.coker_map(m).is_cyclic:
+            cases.append(m)
+            words += 1
+    assert words == 161
+    for m in cases:
+        assert forms.d_table_sharp(m) == oracles.box_d_table_sharp(m), m
+
+
+@st.composite
+def odd_cyclic_forms(draw):
+    """-(B B^T + diag(s)) for small B and s: negative definite when nonsingular."""
+    k = draw(st.integers(1, 4))
+    b = [draw(st.lists(st.integers(-1, 1), min_size=k, max_size=k))
+         for _ in range(k)]
+    s = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    m = tuple(tuple(-sum(x * y for x, y in zip(b[i], b[j])) - (i == j) * s[i]
+                    for j in range(k)) for i in range(k))
+    assume(linalg.det(m) != 0)
+    coker = forms.coker_map(m)
+    assume(coker.order % 2 == 1 and coker.is_cyclic)
+    return m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(odd_cyclic_forms())
+def test_dtable_sharp_matches_box_oracle_on_random_forms(m):
+    assert forms.d_table_sharp(m) == oracles.box_d_table_sharp(m)
+
+
 def test_window_sufficiency():
     """Per-class maxima over the box match the doubled box (k <= 5)."""
     cases = [forms.twist_knot_form(3), forms.twist_knot_form(6),
@@ -113,7 +157,7 @@ def test_window_sufficiency():
         k = len(m)
         coker = forms.coker_map(m)
         best = {}
-        for c in forms.char_box(m):
+        for c in oracles.char_box(m):
             cls = coker.class_of(c)
             sq = oracles.fraction_square(m, c)
             if cls not in best or sq > best[cls]:
@@ -142,7 +186,7 @@ def test_integer_scoring_matches_fraction_oracle():
             continue
         D, k = coker.order, len(m)
         best = [None] * D
-        for c in forms.char_box(m):
+        for c in oracles.char_box(m):
             sq = oracles.fraction_square(m, c)
             assert oracles.covector_square(m, c) == sq
             label = coker.label(c) * pow(2, -1, D) % D
