@@ -17,7 +17,9 @@ the solved x tail always breaks the change-making chain.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, permutations
+from operator import mul
 
 from . import linalg
 from .embed import TheoremViolation, change_making_ok
@@ -97,12 +99,14 @@ def goeritz_parameters(pe):
         raise ValueError("shape must be (r+1) x (r+2)")
     if pe.y_row != (1, 1) + (0,) * (width - 2):
         raise ValueError("meridian row must be (1, 1, 0, ..., 0)")
-    for j in range(width):
-        if sum(row[j] for row in rows) != 1:
+    for j, total in enumerate(map(sum, zip(*rows))):
+        if total != 1:
             raise ValueError(f"column {j} does not sum to 1")
     r = pe.r
-    gram = [[pe.pairing(i, j) for j in range(r)] for i in range(r)]
-    if any(pe.pairing(i, r) != 0 for i in range(r)):
+    cycle = pe.v_rows
+    gram = [[-sum(map(mul, u, w)) for w in cycle] for u in cycle]
+    # y = (1, 1, 0, ..., 0), so the pairing with y is -(u_0 + u_1)
+    if any(u[0] + u[1] for u in cycle):
         raise ValueError("meridian row is not orthogonal to the cycle rows")
     if r < 2:
         raise ValueError("need r >= 2")
@@ -123,6 +127,9 @@ def goeritz_parameters(pe):
         for j in range(r):
             if j != i and gram[i][j] not in (0, 1):
                 raise ValueError("off-diagonal entries must be 0 or 1")
+    # a walk through r distinct vertices of degree 2 closes up by itself:
+    # the adjacency is symmetric, so the last vertex's second neighbour
+    # can only be the start
     order = [0, nbrs[0][0]]
     while len(order) < r:
         prev, cur = order[-2], order[-1]
@@ -130,24 +137,16 @@ def goeritz_parameters(pe):
         if nxt in order:
             raise ValueError("adjacency is not a single cycle")
         order.append(nxt)
-    if order[0] not in nbrs[order[-1]]:
-        raise ValueError("adjacency is not a single cycle")
     diag = [-gram[i][i] for i in order]
     if any(d < 2 for d in diag):
         raise ValueError("diagonal entries must be at most -2")
+    # there is always a hub: the cycle rows sum to (0, 0, 1, ..., 1) and
+    # each pairs to 1 with two others and to 0 with the rest, so the
+    # square r of that sum is sum(diag) - 2r, and sum(diag) = 3r > 2r
     hubs = [t for t in range(r) if diag[t] > 2]
-    if not hubs:
-        raise ValueError("no hub vertex: the word would be empty")
-    start = hubs[0]
-    a_seq, b_seq = [], []
-    for t in range(len(hubs)):
-        h = hubs[t]
-        nxt = hubs[(t + 1) % len(hubs)]
-        a_seq.append(diag[h] - 2)
-        b_seq.append((nxt - h) % r if t + 1 < len(hubs) else r - h + hubs[0])
-    if sum(b_seq) != r:
-        raise ValueError("block sizes do not cover the cycle")
-    return (tuple(a_seq), tuple(b_seq))
+    # block t runs from hub t to the next, the last wrapping round
+    b_seq = [b - a for a, b in zip(hubs, hubs[1:] + [hubs[0] + r])]
+    return (tuple(diag[h] - 2 for h in hubs), tuple(b_seq))
 
 
 def _validate(pe):
@@ -175,21 +174,31 @@ def canonical_form(pe):
     exactly when the marked rows come first and last, so only the orders
     (i, mid..., j) and (j, mid..., i) are tried: 2 (r-2)! instead of r!,
     with the same key.
+
+    Those orders differ in their tails alone.  Either orientation puts
+    +-1 in the first and last cycle positions of the head columns and 0
+    between, so the sorted head columns are the same pair for every
+    order tried; and y is 0 on every tail column.  So the orders compare
+    by their decreasing tail columns without the y entry, and the key is
+    built once, from the least.
     """
     v = pe.v_rows
     i, j = pe.marked_rows()
     mid = [row for t, row in enumerate(v) if t not in (i, j)]
     if any(row[:2] != (0, 0) for row in mid):
         raise ValueError("heads away from the marked rows must be (0, 0)")
-    y = pe.y_row
+    mid_tails = [row[2:] for row in mid]
     best = None
     for first, last in ((v[i], v[j]), (v[j], v[i])):
-        for perm in permutations(mid):
-            cols = list(zip(first, *perm, last, y))
-            key = tuple(sorted(cols[:2]) + sorted(cols[2:], reverse=True))
-            if best is None or key < best:
-                best = key
-    return best
+        head, tail = first[2:], last[2:]
+        for perm in permutations(mid_tails):
+            tails = sorted(zip(head, *perm, tail), reverse=True)
+            if best is None or tails < best:
+                best, order = tails, (first, perm, last)
+    first, perm, last = order
+    rows = (first,) + tuple((0, 0) + t for t in perm) + (last,)
+    cols = list(zip(*rows, pe.y_row))
+    return tuple(sorted(cols[:2]) + sorted(cols[2:], reverse=True))
 
 
 def expand(pe, step):
@@ -260,16 +269,43 @@ def _expansion_steps(pe):
     return steps
 
 
+def _shape_key(pe):
+    """Sorted tail columns, middle rows sorted, of the least orientation.
+
+    The middle rows are put in sorted order between the marked rows, in
+    both orientations (i, mid..., j) and (j, mid..., i), and the smaller
+    of the two sorted lists of tail columns is the key.
+    """
+    v = pe.v_rows
+    i, j = pe.marked_rows()
+    mid = sorted(row[2:] for t, row in enumerate(v) if t not in (i, j))
+    return tuple(min(sorted(zip(v[i][2:], *mid, v[j][2:])),
+                     sorted(zip(v[j][2:], *mid, v[i][2:]))))
+
+
 def _expand_layer(members, kinds, seeds=()):
     """Seeds, then every move of the given kinds on members, one per class.
 
     Keyed by canonical form; the first member met in a class stays.
+
+    canonical_form runs once per distinct shape key, because the shape
+    key is exact.  Members have zero heads away from the marked rows, so
+    a row order and orientation fix the head columns.  Two members with
+    equal shape keys therefore become the same matrix once each puts its
+    rows in the order that attains its key, up to a permutation of the
+    tail columns and, when the orientations differ, the swap of the head
+    columns.  Row permutations fixing y and those column moves are what
+    canonical_form quotients out, so their keys are equal, and a member
+    whose shape key was met before is in a class met before.
     """
     grown = (expand(pe, step) for pe in members
              for step in _expansion_steps(pe) if step.kind in kinds)
-    layer = {}
+    layer, shapes = {}, set()
     for pe in chain(seeds, grown):
-        layer.setdefault(canonical_form(pe), pe)
+        shape = _shape_key(pe)
+        if shape not in shapes:
+            shapes.add(shape)
+            layer.setdefault(canonical_form(pe), pe)
     return layer
 
 
@@ -391,13 +427,22 @@ def _marks_ok(c, i, j, h1, chain1, h2, chain2):
     return True
 
 
+@lru_cache(maxsize=None)
+def _kind1_layer(r):
+    """(keys, members) of rank r grown from the rank-2 seeds by kind 1 alone.
+
+    Each rank is generated once per process, from the rank below.
+    """
+    if r <= 2:
+        layer = _expand_layer((), (1,), _SEEDS[2])
+    else:
+        layer = _expand_layer(_kind1_layer(r - 1)[1], (1,))
+    return frozenset(layer), tuple(layer.values())
+
+
 def _reachable_by_kind1(pe):
     """Whether pe arises from the two rank-2 seeds by kind-1 moves alone."""
-    key = canonical_form(pe)
-    layer = _expand_layer((), (1,), _SEEDS[2])
-    for _ in range(2, pe.r):
-        layer = _expand_layer(layer.values(), (1,))
-    return key in layer
+    return canonical_form(pe) in _kind1_layer(pe.r)[0]
 
 
 def completion_x_tail(pe):

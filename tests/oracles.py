@@ -15,7 +15,11 @@ covector `covector_square`, and, for partial witnesses, the balance test
 `is_balanced` and the contraction `contract` that undoes an expansion
 move.  The characteristic box `char_box` and the per-point sweep over it,
 `box_d_table_sharp`, are the retired form of `forms.d_table_sharp`, kept
-as its differential oracle.
+as its differential oracle.  Likewise `pinned_canonical_form`, which
+compares whole keys over the pinned row orders, is the retired form of
+`expansions.canonical_form`, and `kind1_keys` regenerates the kind-1
+layers from the seeds as `expansions._reachable_by_kind1` once did for
+every member.
 """
 
 from fractions import Fraction
@@ -343,6 +347,48 @@ def permutation_canonical_form(pe):
         if best is None or key < best:
             best = key
     return best
+
+
+def pinned_canonical_form(pe):
+    """canonical_form over the 2 (r-2)! pinned orders, whole keys compared.
+
+    Tries (i, mid..., j) and (j, mid..., i) for the marked rows i, j and
+    keeps the least full key, head columns and y included.
+    """
+    v = pe.v_rows
+    i, j = pe.marked_rows()
+    mid = [row for t, row in enumerate(v) if t not in (i, j)]
+    if any(row[:2] != (0, 0) for row in mid):
+        raise ValueError("heads away from the marked rows must be (0, 0)")
+    y = pe.y_row
+    best = None
+    for first, last in ((v[i], v[j]), (v[j], v[i])):
+        for perm in permutations(mid):
+            cols = list(zip(first, *perm, last, y))
+            key = tuple(sorted(cols[:2]) + sorted(cols[2:], reverse=True))
+            if best is None or key < best:
+                best = key
+    return best
+
+
+def kind1_keys(r):
+    """Keys of the rank-r members grown from the rank-2 seeds by kind 1 alone.
+
+    Every layer is regenerated from the seeds, and every expansion is keyed
+    by `pinned_canonical_form`, with no shape key and no sharing.
+    """
+    layer = {}
+    for pe in xp.SEED_M1, xp.SEED_M2:
+        layer.setdefault(pinned_canonical_form(pe), pe)
+    for _ in range(2, r):
+        grown = {}
+        for pe in layer.values():
+            for step in xp._expansion_steps(pe):
+                if step.kind == 1:
+                    child = xp.expand(pe, step)
+                    grown.setdefault(pinned_canonical_form(child), child)
+        layer = grown
+    return frozenset(layer)
 
 
 def brute_balanced(r):

@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 
 import pytest
@@ -37,6 +38,38 @@ def test_membership_rejections():
                                                    (1, -1, 0, 0))))  # bad y
 
 
+# one matrix per ValueError of goeritz_parameters, rows with y last
+GOERITZ_REJECTIONS = [
+    (((1, 1, 0),), "shape must be (r+1) x (r+2)"),
+    (((0, 0, 1), (1, 0, 0)), "meridian row must be (1, 1, 0, ..., 0)"),
+    (((0, 0, 2), (1, 1, 0)), "column 2 does not sum to 1"),
+    (((0, 1, 0, 1), (0, -1, 1, 0), (1, 1, 0, 0)),
+     "meridian row is not orthogonal to the cycle rows"),
+    (((0, 0, 1), (1, 1, 0)), "need r >= 2"),
+    (((0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 0, 0)), "r = 2 needs a doubled edge"),
+    (((0, 0, 0, -1), (0, 0, 1, 2), (1, 1, 0, 0)), "invalid diagonal"),
+    (((0, 0, 0, 1, 0), (0, 0, 0, 0, 0), (0, 0, 1, 0, 1), (1, 1, 0, 0, 0)),
+     "cycle rows do not form an r-cycle"),
+    (((0, 0, 0, 1, 0, 1), (0, 0, 0, 1, 0, 1), (0, 0, 1, -1, 0, 0),
+      (0, 0, 0, 0, 1, -1), (1, 1, 0, 0, 0, 0)),
+     "off-diagonal entries must be 0 or 1"),
+    # two disjoint triangles: every row has two neighbours
+    (((0, 0, 1, 1, -1, 0, 0, 0), (0, 0, 1, -1, 1, 0, 0, 0),
+      (0, 0, -1, 1, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1, 1, -1),
+      (0, 0, 0, 0, 0, 1, -1, 1), (0, 0, 0, 0, 0, -1, 1, 1),
+      (1, 1, 0, 0, 0, 0, 0, 0)), "adjacency is not a single cycle"),
+    (((0, 0, 1, 2, 1), (0, 0, 0, 0, -1), (0, 0, 0, -1, 1), (1, 1, 0, 0, 0)),
+     "diagonal entries must be at most -2"),
+]
+
+
+@pytest.mark.parametrize("rows, message", GOERITZ_REJECTIONS,
+                         ids=[m for _, m in GOERITZ_REJECTIONS])
+def test_goeritz_parameters_rejections(rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        xp.goeritz_parameters(xp.PartialEmbedding(rows))
+
+
 def test_generation_counts():
     layers = xp.generate_balanced(6)
     assert {r: len(ms) for r, ms in layers.items()} == \
@@ -64,6 +97,40 @@ def test_canonical_form_matches_permutation_oracle():
     assert max(pe.r for pe in grown) == 6
     for pe in seeds + tuple(grown):
         assert xp.canonical_form(pe) == oracles.permutation_canonical_form(pe)
+
+
+def test_canonical_form_matches_pinned_oracle_at_rank_7():
+    """Tail-only comparison gives the whole-key form on every expansion.
+
+    The expansions of the rank <= 6 members of generate_balanced(7),
+    duplicates included, reach rank 7.  Equal shape keys give equal keys,
+    which is what lets _expand_layer canonicalise once per shape key.
+    """
+    grown = [xp.expand(pe, step) for pe in _members(6)
+             for step in xp._expansion_steps(pe)]
+    assert len(grown) == 432
+    assert max(pe.r for pe in grown) == 7
+    by_shape = {}
+    for pe in grown:
+        key = xp.canonical_form(pe)
+        assert key == oracles.pinned_canonical_form(pe)
+        assert by_shape.setdefault(xp._shape_key(pe), key) == key
+    assert len(by_shape) == 247
+    assert len(set(by_shape.values())) == 126
+
+
+def test_kind1_layers_match_regeneration():
+    """The shared kind-1 layers hold the keys a per-member regeneration finds."""
+    oracle = {r: oracles.kind1_keys(r) for r in range(2, 8)}
+    for r, keys in oracle.items():
+        shared = xp._kind1_layer(r)[0]
+        assert isinstance(shared, frozenset)
+        assert shared == keys, r
+    assert {r: len(keys) for r, keys in oracle.items()} == \
+        {2: 2, 3: 1, 4: 4, 5: 10, 6: 27, 7: 69}
+    for pe in _members(7):
+        assert xp._reachable_by_kind1(pe) == \
+            (oracles.pinned_canonical_form(pe) in oracle[pe.r])
 
 
 @st.composite
