@@ -136,6 +136,9 @@ def _enumerate_one(word):
 def cmd_enumerate(args):
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
+    if args.bound < 2:
+        # the smallest knot word, s1^-1 s2, has total exponent 2
+        raise ValueError("--bound must be at least 2")
     words = [w for w in braid.alt_words(args.bound)
              if braid.is_knot_closure(w.raw())]
     if args.workers > 1:

@@ -19,6 +19,7 @@ independently checked to give the unknot.
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 
 from . import linalg
 from .braid import (AltBraidWord, CrossingRef, almost_alt_unknot_test,
@@ -246,16 +247,29 @@ def criterion_search(form, n, change_making=True):
     A with -A A^T = G + R_n whose rows have the prescribed shape, with
     det(C) = +-1, up to signed permutation of the tail columns and
     G-preserving row permutations.  With change_making=False the chain
-    condition on the x tail is not imposed.
+    condition on the x tail is not imposed.  A raw matrix must be
+    symmetric and negative definite (ValueError otherwise).
+
+    The backtracker forward-checks: within one x tail each candidate
+    carries its full row (z, z) + c, and the candidates of a row that fit
+    the row already placed at its first checked neighbour are listed once
+    per (row, placed neighbour) and reused.  Those lists keep pool order
+    and the remaining checks only drop entries, so the search reaches the
+    same leaves in the same order as a plain scan of the pool; each class
+    therefore keeps its first-found representative.
     """
-    matrix = form.matrix if isinstance(form, GoeritzForm) else linalg.freeze(form)
+    if isinstance(form, GoeritzForm):
+        matrix = form.matrix
+    else:
+        matrix = linalg.freeze(form)
+        if not linalg.is_negative_definite(matrix):
+            raise ValueError("matrix is not negative definite")
     r = len(matrix)
     if n < 2:
         raise ValueError("need n >= 2 (determinant at least 3)")
     if abs(linalg.det(matrix)) != 2 * n - 1:
         raise ValueError("determinant of the form does not equal 2n - 1")
     diag = [-matrix[i][i] for i in range(r)]
-    target = [[-matrix[i][j] for j in range(r)] for i in range(r)]
     auts = form_automorphisms(matrix)
 
     # contiguity-first row order: start at the largest diagonal, then always
@@ -265,38 +279,57 @@ def criterion_search(form, n, change_making=True):
         rest = [i for i in range(r) if i not in order]
         order.append(max(rest, key=lambda i: (
             sum(1 for j in order if matrix[i][j] != 0), diag[i])))
+    # each step's row and the (earlier row, target pairing) checks it
+    # must pass: neighbours first, so the memoized first check prunes most
+    steps = []
+    for t, i in enumerate(order):
+        earlier = sorted(order[:t], key=lambda j: matrix[i][j] == 0)
+        checks = [(j, -matrix[i][j]) for j in earlier]
+        steps.append((i, checks[0] if checks else None, checks[1:]))
 
     found = {}
     for xbar in _x_tails(r, n - 1, change_making):
-        pools = {d: _row_candidates(d, xbar) for d in set(diag)}
+        pools = {}
+        for d in set(diag):
+            pool = []
+            for c in _row_candidates(d, xbar):
+                z = -sum(map(mul, c, xbar))
+                pool.append((z, z) + c)
+            pools[d] = pool
         rows = [None] * r
-        zs = [None] * r
+        fits = {}
 
         def rec(t):
             if t == r:
-                c_rows = tuple(rows)
+                c_rows = tuple(row[2:] for row in rows)
                 if abs(linalg.det(c_rows)) != 1:
                     return
-                key = _witness_key(c_rows, tuple(zs), xbar, auts)
+                zs = tuple(row[0] for row in rows)
+                key = _witness_key(c_rows, zs, xbar, auts)
                 if key not in found:
-                    a = _assemble(c_rows, tuple(zs), xbar)
+                    a = _assemble(c_rows, zs, xbar)
                     _check_witness(a, matrix, n)
                     found[key] = a
                 return
-            i = order[t]
-            for cand in pools[diag[i]]:
-                z = -sum(c * x for c, x in zip(cand, xbar))
-                ok = True
-                for t2 in range(t):
-                    j = order[t2]
-                    dot = sum(a * b for a, b in zip(cand, rows[j])) + 2 * z * zs[j]
-                    if dot != target[i][j]:
-                        ok = False
+            i, first, rest = steps[t]
+            pool = pools[diag[i]]
+            if first:
+                j, want = first
+                placed = rows[j]
+                memo_key = (i, placed)
+                fit = fits.get(memo_key)
+                if fit is None:
+                    fit = fits[memo_key] = [
+                        cand for cand in pool
+                        if sum(map(mul, cand, placed)) == want]
+                pool = fit
+            for cand in pool:
+                for j, want in rest:
+                    if sum(map(mul, cand, rows[j])) != want:
                         break
-                if ok:
-                    rows[i], zs[i] = cand, z
+                else:
+                    rows[i] = cand
                     rec(t + 1)
-                    rows[i], zs[i] = None, None
 
         rec(0)
     return tuple(found[k] for k in sorted(found))

@@ -19,7 +19,9 @@ as its differential oracle.  Likewise `pinned_canonical_form`, which
 compares whole keys over the pinned row orders, is the retired form of
 `expansions.canonical_form`, and `kind1_keys` regenerates the kind-1
 layers from the seeds as `expansions._reachable_by_kind1` once did for
-every member.
+every member.  `retired_criterion_search`, the plain backtracker that
+scans every row's whole candidate pool, is the retired form of
+`embed.criterion_search`.
 """
 
 from fractions import Fraction
@@ -28,9 +30,9 @@ from itertools import permutations, product
 from math import isqrt
 
 from threebraid import expansions as xp
-from threebraid import forms, linalg
+from threebraid import embed, forms, linalg
 from threebraid.braid import AltBraidWord
-from threebraid.goeritz import goeritz_3braid
+from threebraid.goeritz import GoeritzForm, goeritz_3braid
 
 
 def mat_mul(a, b):
@@ -453,3 +455,64 @@ def brute_balanced(r):
 
         rec(0, False, False, [0] * width)
     return found
+
+
+def retired_criterion_search(form, n, change_making=True):
+    """embed.criterion_search as a plain backtracker, kept as its oracle.
+
+    Every node scans the whole candidate pool of its row, recomputes
+    z = -c . xbar for each candidate and checks the earlier rows in
+    placement order.  Same answers, same order, same representatives.
+    """
+    matrix = form.matrix if isinstance(form, GoeritzForm) else linalg.freeze(form)
+    r = len(matrix)
+    if n < 2:
+        raise ValueError("need n >= 2 (determinant at least 3)")
+    if abs(linalg.det(matrix)) != 2 * n - 1:
+        raise ValueError("determinant of the form does not equal 2n - 1")
+    diag = [-matrix[i][i] for i in range(r)]
+    target = [[-matrix[i][j] for j in range(r)] for i in range(r)]
+    auts = embed.form_automorphisms(matrix)
+
+    # contiguity-first row order: start at the largest diagonal, then always
+    # extend by the unassigned row with the most assigned neighbours
+    order = [max(range(r), key=lambda i: diag[i])]
+    while len(order) < r:
+        rest = [i for i in range(r) if i not in order]
+        order.append(max(rest, key=lambda i: (
+            sum(1 for j in order if matrix[i][j] != 0), diag[i])))
+
+    found = {}
+    for xbar in embed._x_tails(r, n - 1, change_making):
+        pools = {d: embed._row_candidates(d, xbar) for d in set(diag)}
+        rows = [None] * r
+        zs = [None] * r
+
+        def rec(t):
+            if t == r:
+                c_rows = tuple(rows)
+                if abs(linalg.det(c_rows)) != 1:
+                    return
+                key = embed._witness_key(c_rows, tuple(zs), xbar, auts)
+                if key not in found:
+                    a = embed._assemble(c_rows, tuple(zs), xbar)
+                    embed._check_witness(a, matrix, n)
+                    found[key] = a
+                return
+            i = order[t]
+            for cand in pools[diag[i]]:
+                z = -sum(c * x for c, x in zip(cand, xbar))
+                ok = True
+                for t2 in range(t):
+                    j = order[t2]
+                    dot = sum(a * b for a, b in zip(cand, rows[j])) + 2 * z * zs[j]
+                    if dot != target[i][j]:
+                        ok = False
+                        break
+                if ok:
+                    rows[i], zs[i] = cand, z
+                    rec(t + 1)
+                    rows[i], zs[i] = None, None
+
+        rec(0)
+    return tuple(found[k] for k in sorted(found))

@@ -208,3 +208,13 @@ def test_enumerate_refuses_fewer_than_one_worker(capsys, monkeypatch, workers):
     code, out, err = run_cli(capsys, "enumerate", "--bound", "4",
                              "--workers", workers)
     assert code == 2 and out == "" and "--workers" in err
+
+
+@pytest.mark.parametrize("bound", ["1", "0", "-1"])
+def test_enumerate_refuses_bound_below_two(capsys, monkeypatch, bound):
+    def no_words(*args, **kwargs):
+        raise AssertionError("words were enumerated")
+
+    monkeypatch.setattr(cli.braid, "alt_words", no_words)
+    code, out, err = run_cli(capsys, "enumerate", "--bound", bound)
+    assert code == 2 and out == "" and "--bound" in err

@@ -64,6 +64,46 @@ def test_criterion_input_validation(g87_matrix):
         embed.criterion_search(((-1,),), 1)
 
 
+@pytest.mark.parametrize("matrix, message", [
+    (((-3, 1), (0, -1)), "not symmetric"),
+    (((2, 1), (1, 2)), "not negative definite"),
+])
+def test_criterion_refuses_malformed_raw_forms(matrix, message):
+    """Both have determinant 3 = 2n - 1 at n = 2; neither is a Goeritz form."""
+    with pytest.raises(ValueError, match=message):
+        embed.criterion_search(matrix, 2)
+    for enforce in (True, False):
+        with pytest.raises(ValueError, match=message):
+            embed.search_stage(matrix, 2, enforce)
+
+
+def test_criterion_matches_retired_loop(monkeypatch):
+    """Same matrices in the same order as the plain backtracker.
+
+    The sides are every (form, n) that u1_pipeline hands to search_stage
+    at total exponent <= 12.
+    """
+    sides = {}
+
+    def record(form, n, enforce):
+        sides.setdefault((form.matrix, n), form)
+        return "search_empty", ()
+
+    monkeypatch.setattr(embed, "search_stage", record)
+    for word in braid.alt_words(12):
+        if braid.is_knot_closure(word.raw()):
+            embed.u1_pipeline(word)
+    assert len(sides) == 145
+    found = 0
+    for (_, n), form in sides.items():
+        for change_making in (True, False):
+            sols = embed.criterion_search(form, n, change_making)
+            assert sols == oracles.retired_criterion_search(
+                form, n, change_making)
+            found += len(sols)
+    assert found == 90
+
+
 def test_witness_invariants():
     """Gram identity, |det A| = D and det C = +-1 on every emitted witness."""
     for word in braid.alt_words(9):
