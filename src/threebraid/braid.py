@@ -207,10 +207,12 @@ def word_from_symbols(symbols, cyclic=True):
 
 def cyclic_key(word):
     """Canonical key of a word under cyclic rotation (on crossings)."""
-    syms = symbols_of(word)
-    if not syms:
-        return ()
-    return min(tuple(syms[i:] + syms[:i]) for i in range(len(syms)))
+    return _least_rotation(symbols_of(word))
+
+
+def _least_rotation(syms):
+    syms = tuple(syms)
+    return min((syms[i:] + syms[:i] for i in range(len(syms))), default=())
 
 
 PERM_S1 = (1, 0, 2)
@@ -331,33 +333,34 @@ def reduce_almost_alternating(word):
     two crossings, so the run terminates well inside the 4*len^2 bound
     checked here.
     """
-    syms = list(symbols_of(word))
+    syms = symbols_of(word)
     _check_almost_alternating(syms)
     trace = []
     bound = 4 * len(syms) * len(syms)
     while True:
         if len(trace) > bound:
             raise TheoremViolation("rewriting failed to terminate")
-        n = len(syms)
-        hit = None
-        for p in range(n):
-            for pat, repl in _PATTERNS:
-                if n >= len(pat) and all(
-                        syms[(p + i) % n] == pat[i] for i in range(len(pat))):
-                    hit = (p, pat, repl)
-                    break
-            if hit:
-                break
+        hits = ((p, pat, _rewrite_at(syms, p, pat, repl))
+                for p in range(len(syms)) for pat, repl in _PATTERNS)
+        hit = next((h for h in hits if h[2] is not None), None)
         if hit is None:
             break
-        p, pat, repl = hit
+        p, pat, syms = hit
         trace.append((pat, p))
-        if p + len(pat) <= n:
-            syms[p:p + len(pat)] = repl
-        else:
-            syms = syms[p:] + syms[:p]
-            syms[:len(pat)] = repl
-    return _classify(syms, tuple(trace))
+    return _classify(list(syms), tuple(trace))
+
+
+def _rewrite_at(syms, p, old, new):
+    """syms with `old` at cyclic position p replaced by `new`, else None.
+
+    An occurrence that wraps past the end leaves `new` at the start.
+    """
+    n, k = len(syms), len(old)
+    if n < k or any(syms[(p + i) % n] != old[i] for i in range(k)):
+        return None
+    if p + k <= n:
+        return syms[:p] + new + syms[p + k:]
+    return new + syms[p + k - n:p]
 
 
 def _classify(syms, trace):
@@ -404,24 +407,30 @@ def almost_alt_unknot_test(word):
     return False
 
 
+def crossing_change_unknots(word, ref):
+    """True iff changing crossing `ref` of the alternating word unknots it.
+
+    The closure must be a knot.  A change in an s2 block is tested through
+    the generator swap, which mirrors the closure and so preserves
+    unknotting.
+    """
+    changed = change_crossing(word, ref)
+    if ref.letter_index % 2:
+        changed = swap_generators(changed)
+    return almost_alt_unknot_test(changed)
+
+
 def unknotting_crossings(word):
     """All blocks of an alternating word whose crossing change unknots.
 
     Returns one CrossingRef (slot 0) per block: crossings within a block
-    are interchangeable.  s2-block changes are tested through the
-    generator swap, which mirrors the closure and so preserves unknotting.
+    are interchangeable.  A crossing change keeps every exponent's parity,
+    so the knot test on the word stands for every changed word.
     """
-    found = []
-    for idx in range(2 * word.m):
-        ref = CrossingRef(idx, 0)
-        changed = change_crossing(word, ref)
-        if idx % 2:
-            changed = swap_generators(changed)
-        if not is_knot_closure(changed):
-            continue
-        if almost_alt_unknot_test(changed):
-            found.append(ref)
-    return tuple(found)
+    if not is_knot_closure(word.raw()):
+        return ()
+    refs = (CrossingRef(idx, 0) for idx in range(2 * word.m))
+    return tuple(ref for ref in refs if crossing_change_unknots(word, ref))
 
 
 # --- generation of all unknotting diagrams -------------------------------
@@ -507,7 +516,7 @@ def enumerate_unknotting_words(max_total_exponent):
     for gap in range(2):
         for pair in ((1, -1), (-1, 1)):
             s = list(base[:gap + 1]) + list(pair) + list(base[gap + 1:])
-            seeds.add(min(tuple(s[i:] + s[:i]) for i in range(len(s))))
+            seeds.add(_least_rotation(s))
     seeds.add((1, 2))
 
     seen = set(seeds)
@@ -518,22 +527,16 @@ def enumerate_unknotting_words(max_total_exponent):
         for syms in frontier:
             if len(syms) + 2 > max_total_exponent:
                 continue
-            n = len(syms)
-            for p in range(n):
+            for p in range(len(syms)):
                 for pat, short in _PATTERNS:  # grow: occurrences of the short side
-                    if all(syms[(p + i) % n] == short[i] for i in range(len(short))):
-                        grown = list(syms)
-                        if p + len(short) <= n:
-                            grown[p:p + len(short)] = pat
-                        else:
-                            grown = grown[p:] + grown[:p]
-                            grown[:len(short)] = pat
-                        key = min(tuple(grown[i:] + grown[:i])
-                                  for i in range(len(grown)))
-                        if key not in seen:
-                            seen.add(key)
-                            nxt.append(key)
-                            words.append(key)
+                    grown = _rewrite_at(syms, p, short, pat)
+                    if grown is None:
+                        continue
+                    key = _least_rotation(grown)
+                    if key not in seen:
+                        seen.add(key)
+                        nxt.append(key)
+                        words.append(key)
         frontier = sorted(nxt)
 
     tagged = set()

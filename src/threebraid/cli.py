@@ -32,6 +32,14 @@ def _emit(args, doc, text_lines):
             fh.write("\n")
 
 
+def _one_input(args, *names):
+    """Refuse a command given more than one of its alternative inputs."""
+    flags = {"word": "a braid word", "unknot": "--unknot", "matrix": "--matrix"}
+    given = [flags[name] for name in names if getattr(args, name) is not None]
+    if len(given) > 1:
+        raise ValueError(f"{' and '.join(given)} exclude each other")
+
+
 def _word_from_text(text):
     raw = braid.parse_braid_word(text)
     word = braid.alt_canonical(raw)
@@ -118,10 +126,14 @@ def _u1_matrix(args):
 
 
 def cmd_u1(args):
+    _one_input(args, "word", "matrix")
     if args.matrix:
         return _u1_matrix(args)
     if not args.word:
         raise ValueError("need a braid word or --matrix FILE")
+    if args.sigma is not None:
+        raise ValueError("--sigma goes with --matrix; "
+                         "a word's signature is computed")
     return _u1_word(args)
 
 
@@ -163,7 +175,8 @@ def cmd_enumerate(args):
 
 
 def cmd_dtable(args):
-    if args.unknot:
+    _one_input(args, "word", "unknot", "matrix")
+    if args.unknot is not None:
         table = forms.d_table_halfint_unknot(args.unknot)
         title = f"half-integer surgery on the unknot, D = {args.unknot}"
     elif args.matrix:
@@ -182,6 +195,7 @@ def cmd_dtable(args):
 
 
 def cmd_symmetry(args):
+    _one_input(args, "word", "matrix")
     if args.matrix:
         form = _load_matrix(args.matrix)
         d = goeritz.determinant(form)

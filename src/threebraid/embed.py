@@ -22,11 +22,10 @@ from math import isqrt
 from operator import mul
 
 from . import linalg
-from .braid import (AltBraidWord, CrossingRef, almost_alt_unknot_test,
-                    change_crossing, is_knot_closure, swap_generators)
-from .forms import symmetry_sides
-from .goeritz import (GoeritzForm, determinant, goeritz_3braid, mirror_word,
-                      signature_normal_form)
+from .braid import AltBraidWord, CrossingRef, crossing_change_unknots
+from .forms import symmetry_sides, twist_knot_form
+from .goeritz import (GoeritzForm, determinant, goeritz_3braid, invariants,
+                      mirror_word, signature_normal_form)
 from .linalg import TheoremViolation
 
 
@@ -350,16 +349,11 @@ def search_stage(form, n, enforce_change_making):
 
 
 def _check_witness(a, g_matrix, n):
-    r = a.r
-    rn = ((-n, 1), (1, -2))
-    gram = linalg.neg(linalg.gram(a.rows))
-    for i in range(r + 2):
-        for j in range(r + 2):
-            want = (g_matrix[i][j] if i < r and j < r
-                    else rn[i - r][j - r] if i >= r and j >= r
-                    else 0)
-            if gram[i][j] != want:
-                raise TheoremViolation("Gram identity failed on a found matrix")
+    # -A A^T must be the block sum of G and the twist knot form R_n
+    want = (tuple(row + (0, 0) for row in g_matrix)
+            + tuple((0,) * a.r + row for row in twist_knot_form(n)))
+    if linalg.neg(linalg.gram(a.rows)) != want:
+        raise TheoremViolation("Gram identity failed on a found matrix")
     if abs(linalg.det(a.rows)) != 2 * n - 1:
         raise TheoremViolation("|det A| != D")
 
@@ -370,14 +364,17 @@ def embed_form(m, n_cols):
     Returns every k x n integer matrix B with -B B^T = M, one canonical
     representative per signed column permutation class, deterministically
     ordered.  An empty result is the diagonalization obstruction firing.
+    A matrix that is not negative definite raises ValueError.
     """
     m = linalg.freeze(m)
+    if not linalg.is_negative_definite(m):
+        raise ValueError("matrix is not negative definite")
     k = len(m)
     if n_cols < k:
         raise ValueError("target rank below the rank of the form")
     diag = [-m[i][i] for i in range(k)]
     target = [[-m[i][j] for j in range(k)] for i in range(k)]
-    results = {}
+    results = []
     rows = []
 
     def candidates(i):
@@ -386,7 +383,9 @@ def embed_form(m, n_cols):
         Columns must stay lexicographically nonincreasing (reading down),
         with each column's first nonzero entry positive: within a run of
         columns equal so far the new entries must be nonincreasing, and a
-        new entry in an all-zero column must be nonnegative.
+        new entry in an all-zero column must be nonnegative.  So every
+        complete matrix is already the canonical representative of its
+        signed column permutation class, and no two are in one class.
         """
         prefixes = list(zip(*rows)) if rows else [()] * n_cols
         out = []
@@ -418,8 +417,7 @@ def embed_form(m, n_cols):
 
     def rec_rows(i):
         if i == k:
-            key = _signed_column_canonical(tuple(rows))
-            results.setdefault(key, tuple(rows))
+            results.append(tuple(rows))
             return
         for cand in candidates(i):
             rows.append(cand)
@@ -427,14 +425,17 @@ def embed_form(m, n_cols):
             rows.pop()
 
     rec_rows(0)
-    return tuple(results[key] for key in sorted(results))
+    return tuple(sorted(results, key=lambda b: tuple(zip(*b))))
 
 
-def _signed_column_canonical(b):
-    cols = []
-    for col in zip(*b):
-        cols.append(max(col, tuple(-v for v in col)))
-    return tuple(sorted(cols, reverse=True))
+def _signed_to_ones(a, summed, what):
+    """Negate columns of a so that the summed rows, a sign vector, sum to ones."""
+    total = [sum(col) for col in zip(*summed)]
+    if any(s not in (1, -1) for s in total):
+        raise TheoremViolation(f"{what} sum to {total}, not a sign vector")
+    rows = tuple(tuple(v if s == 1 else -v for v, s in zip(row, total))
+                 for row in a.rows)
+    return EmbeddingMatrix(rows, a.r)
 
 
 def normalize_sigma2(a):
@@ -444,12 +445,7 @@ def normalize_sigma2(a):
     +-1 vector; anything else is flagged as a violation.  The first two
     entries of the y row stay negatives of one another.
     """
-    vsum = [sum(col) for col in zip(*a.v_rows)]
-    if any(s not in (1, -1) for s in vsum):
-        raise TheoremViolation(f"cycle rows sum to {vsum}, not a sign vector")
-    rows = tuple(tuple(v if s == 1 else -v for v, s in zip(row, vsum))
-                 for row in a.rows)
-    out = EmbeddingMatrix(rows, a.r)
+    out = _signed_to_ones(a, a.v_rows, "cycle rows")
     y = out.y_row
     if y[0] != -y[1]:
         raise TheoremViolation("y row lost its (1, -1) head")
@@ -484,12 +480,7 @@ def normalize_sigma0_and_extract(a, form):
     the cycle (their pairing is 1 for r > 2, 2 for r = 2); the crossing
     between them is returned.
     """
-    total = [sum(col) for col in zip(*(a.v_rows + (a.y_row,)))]
-    if any(s not in (1, -1) for s in total):
-        raise TheoremViolation(f"rows sum to {total}, not a sign vector")
-    rows = tuple(tuple(v if s == 1 else -v for v, s in zip(row, total))
-                 for row in a.rows)
-    out = EmbeddingMatrix(rows, a.r)
+    out = _signed_to_ones(a, a.v_rows + (a.y_row,), "rows")
     if out.y_row[:2] != (1, 1) or any(out.y_row[2:]):
         raise TheoremViolation(f"y row is {out.y_row}, not (1, 1, 0, ...)")
     pos = [i for i, row in enumerate(out.v_rows) if (row[0], row[1]) == (1, -1)]
@@ -524,15 +515,11 @@ def normalize_sigma0_and_extract(a, form):
 def verify_unknotting(word, ref, witness=None):
     """Confirm that changing the crossing really yields the unknot.
 
-    Runs the rewriting test on the changed word (through the generator
-    swap when the crossing sits in an s2 block).  When a witness matrix is
-    supplied, additionally checks |det(-C C^T)| = 1; the conjunction is
-    returned.
+    Runs the rewriting test (braid.crossing_change_unknots).  When a
+    witness matrix is supplied, additionally checks |det(-C C^T)| = 1; the
+    conjunction is returned.
     """
-    changed = change_crossing(word, ref)
-    if ref.letter_index % 2:
-        changed = swap_generators(changed)
-    ok = almost_alt_unknot_test(changed)
+    ok = crossing_change_unknots(word, ref)
     if witness is not None:
         c = witness.c_block()
         ok = ok and abs(linalg.det(linalg.neg(linalg.gram(c)))) == 1
@@ -591,11 +578,11 @@ class CriterionWitness:
 class PipelineReport:
     """Everything the unknotting-number-one decision produced.
 
-    stage is how far the input survived: sigma_bound and parity verdicts
-    need no search; search_empty and change_making are obstructions from
-    the embedding stage; witness certifies u(K) = 1 with a verified
-    crossing.  epsilon is the surgery sign (-1)^(sigma/2) for the mirrored
-    representative actually searched.
+    stage is how far the input survived: sigma_bound (|sigma| > 2) and
+    parity (determinant one: the unknot) need no search; search_empty and
+    change_making are obstructions from the embedding stage; witness
+    certifies u(K) = 1 with a verified crossing.  epsilon is the surgery
+    sign (-1)^(sigma/2) for the mirrored representative actually searched.
     """
 
     word: AltBraidWord
@@ -656,31 +643,25 @@ def u1_pipeline(word, enforce_change_making=True):
     every witness carries a crossing checked by the rewriting test.
     """
     word = AltBraidWord.canonical(word.pairs)
-    if not is_knot_closure(word.raw()):
-        raise ValueError("closure is not a knot")
-    sigma0 = signature_normal_form(0, word)
-    d0 = determinant(goeritz_3braid(word))
+    rec = invariants(word)
+    sigma0, n = rec.signature, rec.n
 
     def report(stage, witnesses=(), mirrored=False, note="", sigma=sigma0):
         eps = (-1) ** (sigma // 2) if abs(sigma) <= 2 else 0
-        return PipelineReport(word, sigma0, d0, (d0 + 1) // 2, eps, stage,
+        return PipelineReport(word, sigma0, rec.determinant, n, eps, stage,
                               tuple(witnesses), mirrored, note,
                               enforce_change_making)
 
     if abs(sigma0) > 2:
         return report("sigma_bound",
                       note="|signature| exceeds 2, so u >= 2")
-    if d0 == 1:
+    if rec.determinant == 1:
         return report("parity",
                       note="determinant one: the closure is already the unknot")
 
     mirrored_input = sigma0 < 0
     work = mirror_word(word) if mirrored_input else word
     sigma = -sigma0 if mirrored_input else sigma0
-    n = (d0 + 1) // 2
-    if (d0 - sigma - 1) % 4:
-        return report("parity", mirrored=mirrored_input, sigma=sigma,
-                      note="determinant incompatible with signature mod 4")
 
     sides = [(work, False)]
     if sigma == 0:

@@ -21,7 +21,8 @@ compares whole keys over the pinned row orders, is the retired form of
 layers from the seeds as `expansions._reachable_by_kind1` once did for
 every member.  `retired_criterion_search`, the plain backtracker that
 scans every row's whole candidate pool, is the retired form of
-`embed.criterion_search`.
+`embed.criterion_search`.  `signed_column_canonical` is the retired
+dedup key of `embed.embed_form`, whose leaves are now canonical as found.
 """
 
 from fractions import Fraction
@@ -229,6 +230,15 @@ def exhaustive_criterion(g_matrix, n):
 
     rec([])
     return sols
+
+
+def signed_column_canonical(b):
+    """Columns of b, each made its larger sign, sorted in decreasing order.
+
+    This is the canonical form of b under signed column permutations.
+    """
+    cols = [max(col, tuple(-v for v in col)) for col in zip(*b)]
+    return tuple(sorted(cols, reverse=True))
 
 
 def compositions(total):

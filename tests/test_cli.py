@@ -115,6 +115,26 @@ def test_u1_input_errors(capsys):
     assert code == 2 and "generator" in err
     code, _, err = run_cli(capsys, "u1", "s1 s2")
     assert code == 2 and "alternating" in err
+    code, out, err = run_cli(capsys, "u1", "s1^-1 s2^2")   # a link
+    assert code == 2 and out == "" and "not a knot" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dtable", "s1^-4 s2 s1^-1 s2^2", "--unknot", "0"], "exclude each other"),
+    (["dtable", "--unknot", "0"], "odd and at least 3"),
+    (["dtable", "--unknot", "5", "--matrix", "{matrix}"], "exclude each other"),
+    (["u1", "s1^-4 s2 s1^-1 s2^2", "--matrix", "{matrix}", "--sigma", "2"],
+     "exclude each other"),
+    (["symmetry", "s1^-4 s2 s1^-1 s2^2", "--matrix", "{matrix}"],
+     "exclude each other"),
+    (["u1", "s1^-4 s2 s1^-1 s2^2", "--sigma", "0"], "--sigma goes with --matrix"),
+])
+def test_ignored_inputs_are_refused(capsys, tmp_path, g87_matrix, argv, message):
+    """Every input a command would drop is refused before any output."""
+    path = _matrix_file(tmp_path, g87_matrix)
+    argv = [arg.format(matrix=path) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and message in err
 
 
 def test_invariants(capsys):

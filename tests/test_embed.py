@@ -72,6 +72,8 @@ def test_criterion_refuses_malformed_raw_forms(matrix, message):
     """Both have determinant 3 = 2n - 1 at n = 2; neither is a Goeritz form."""
     with pytest.raises(ValueError, match=message):
         embed.criterion_search(matrix, 2)
+    with pytest.raises(ValueError, match=message):
+        embed.embed_form(matrix, 2)
     for enforce in (True, False):
         with pytest.raises(ValueError, match=message):
             embed.search_stage(matrix, 2, enforce)
@@ -131,19 +133,40 @@ def test_embed_form_pretzel():
     for n in (6, 7):
         classes = embed.embed_form(m, n)
         assert len(classes) == 2
-        targets = {embed._signed_column_canonical(forms.pretzel_embedding(1, n)),
-                   embed._signed_column_canonical(forms.pretzel_embedding(2, n))}
-        assert {embed._signed_column_canonical(b) for b in classes} == targets
+        targets = {oracles.signed_column_canonical(forms.pretzel_embedding(1, n)),
+                   oracles.signed_column_canonical(forms.pretzel_embedding(2, n))}
+        assert {oracles.signed_column_canonical(b) for b in classes} == targets
 
 
 def test_embed_form_trivial_and_canonical_closure():
     assert embed.embed_form(((-1,),), 1) == (((1,),),)
     for b in embed.embed_form(forms.PRETZEL_FORM, 6):
-        canon_cols = embed._signed_column_canonical(b)
+        canon_cols = oracles.signed_column_canonical(b)
         as_matrix = tuple(zip(*canon_cols))
-        assert embed._signed_column_canonical(as_matrix) == canon_cols
+        assert oracles.signed_column_canonical(as_matrix) == canon_cols
     with pytest.raises(ValueError):
         embed.embed_form(forms.PRETZEL_FORM, 4)
+
+
+def test_embed_form_returns_canonical_representatives():
+    """Each returned matrix is its own class's canonical form, one per class.
+
+    Over the pretzel form at ranks 5-8 and the Goeritz form of every word
+    of exponent <= 8 at ranks r, r + 1 and r + 2.
+    """
+    cases = [(forms.PRETZEL_FORM, n) for n in (5, 6, 7, 8)]
+    for word in braid.alt_words(8):
+        m = goeritz.goeritz_3braid(word).matrix
+        cases.extend((m, len(m) + extra) for extra in range(3))
+    several = 0
+    for m, n in cases:
+        classes = embed.embed_form(m, n)
+        keys = [oracles.signed_column_canonical(b) for b in classes]
+        assert [tuple(zip(*key)) for key in keys] == list(classes)
+        assert len(set(keys)) == len(keys)
+        several += len(classes) > 1
+    # the distinct-key check bites: 57 of the 235 cases have several classes
+    assert several == 57
 
 
 def test_embed_form_gram_validated():
@@ -218,6 +241,21 @@ def test_verify_unknotting(w87):
     expect = [list(r) for r in g.matrix]
     expect[1][1] = -1
     assert linalg.neg(linalg.gram(c)) == tuple(tuple(r) for r in expect)
+
+
+def test_verify_unknotting_agrees_with_family_test():
+    """Both read the one crossing-change test, on every block up to exponent 9."""
+    blocks = 0
+    for word in braid.alt_words(9):
+        if not braid.is_knot_closure(word.raw()):
+            continue
+        found = braid.unknotting_crossings(word)
+        for idx in range(2 * word.m):
+            ref = CrossingRef(idx, 0)
+            assert embed.verify_unknotting(word, ref) == (ref in found), \
+                (word.pairs, idx)
+            blocks += 1
+    assert blocks == 128
 
 
 def test_pipeline_8_7(w87):
