@@ -79,7 +79,7 @@ def _x_tails(r, target, change_making):
     """Nondecreasing nonnegative r-tuples with squares summing to target."""
     out = []
 
-    def rec(prefix, sumsq, total):
+    def rec(prefix, sumsq):
         slots = r - len(prefix)
         if slots == 0:
             if sumsq == target:
@@ -88,12 +88,12 @@ def _x_tails(r, target, change_making):
         v = prefix[-1] if prefix else 0
         # entries are nondecreasing, so every remaining slot is at least v
         while sumsq + v * v * slots <= target:
-            if change_making and v > total + 1:
+            if change_making and not change_making_ok(prefix + [v]):
                 break
-            rec(prefix + [v], sumsq + v * v, total + v)
+            rec(prefix + [v], sumsq + v * v)
             v += 1
 
-    rec([], 0, 0)
+    rec([], 0)
     return out
 
 
@@ -477,8 +477,8 @@ def normalize_sigma0_and_extract(a, form):
     After column negations the cycle rows plus y sum to all ones, y becomes
     (1, 1, 0, ...), and exactly two cycle rows meet the first two columns,
     with patterns (1, -1) and (-1, 1).  Those regions must be adjacent in
-    the cycle (their pairing is 1 for r > 2, 2 for r = 2); the crossing
-    between them is returned.
+    the cycle (their rows pair as the form pairs them, and that is at
+    least 1); the crossing between them is returned.
     """
     out = _signed_to_ones(a, a.v_rows + (a.y_row,), "rows")
     if out.y_row[:2] != (1, 1) or any(out.y_row[2:]):
@@ -492,21 +492,17 @@ def normalize_sigma0_and_extract(a, form):
             f"marked row patterns wrong: pos={pos} neg={neg} rest={rest}")
     i, j = pos[0], neg[0]
     pairing = -sum(x * y for x, y in zip(out.v_rows[i], out.v_rows[j]))
-    r = a.r
-    if r > 2 and pairing != 1:
+    if pairing != form.matrix[i][j] or pairing < 1:
         raise TheoremViolation(
-            f"marked rows pair to {pairing}; adjacency demands 1")
-    if r == 2 and pairing != 2:
-        raise TheoremViolation(f"marked rows pair to {pairing} with r = 2")
+            f"marked rows pair to {pairing}, the form to {form.matrix[i][j]};"
+            " adjacency demands equal values of at least 1")
     if form.cycle_edges is None:
         raise TheoremViolation("form carries no diagram bookkeeping")
     lo, hi = min(i, j), max(i, j)
-    if r == 2:
-        edge = 0
-    elif hi == lo + 1:
+    if hi == lo + 1:
         edge = lo
-    elif lo == 0 and hi == r - 1:
-        edge = r - 1
+    elif lo == 0 and hi == a.r - 1:
+        edge = a.r - 1
     else:
         raise TheoremViolation(f"marked regions {i}, {j} are not adjacent")
     return out, form.cycle_edges[edge]

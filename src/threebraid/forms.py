@@ -7,10 +7,10 @@ against the i-th basis vector, so characteristic means c_i = M_ii mod 2.
 All values are exact (integer scores c adj(M) c^T, ints and Fractions);
 there is no floating point in this module.
 
-The correction-term convention follows the maximizer table for the twist
-knot forms; in particular the value at label 0 is +1/2 when the
-determinant is 3 mod 4.  Only differences of tables enter the symmetry
-test, so the overall sign convention cancels there.
+The correction-term convention is that of d_table_sharp, which also
+gives the unknot's table from the twist knot forms: label 0 carries +1/2
+when the determinant is 3 mod 4.  Only differences of tables enter the
+symmetry test, so the overall sign convention cancels there.
 """
 
 from dataclasses import dataclass
@@ -110,11 +110,6 @@ def coker_map(m):
     return CokerMap(m, tuple(factors), u, tuple(rows), twist_n)
 
 
-def _adjugate_square(adj, c):
-    """The integer c adj(M) c^T, which is det(M) times c M^-1 c^T."""
-    return sum(ci * a * cj for ci, row in zip(c, adj) for a, cj in zip(row, c))
-
-
 @dataclass(frozen=True)
 class DTable:
     """Correction terms of a half-integer-surgery candidate, by label in Z/D.
@@ -205,57 +200,16 @@ def d_table_sharp(m):
     return DTable(D, tuple((Fraction(b, D) + k) / 4 for b in best))
 
 
-def _table_maximizers(D, i):
-    """Maximizer covectors over the twist knot form for spin-c label i.
-
-    i is an integer representative with |i| <= n; the covector class is 2i.
-    """
-    n = (D + 1) // 2
-    k = n // 2
-    if n % 2 == 0:
-        if abs(i) <= k:
-            return ((2 * i, 0),)
-        return ((2 * i - 2 * n, 2), (2 * i - 2 * n + 2, -2))
-    if abs(i) <= k:
-        return ((2 * i + 1, -2), (2 * i - 1, 2))
-    return ((2 * i + 1 - 2 * n, 0),)
-
-
 def d_table_halfint_unknot(D):
-    """Closed-form correction terms of -D/2 surgery on the unknot.
+    """Correction terms of -D/2 surgery on the unknot.
 
-    Values are (square of the tabulated maximizer + 2)/4 over the twist
-    knot form with n = (D+1)/2, computed at the nonnegative label
-    representatives and copied to negative labels by conjugation; labels
-    reached twice are cross-checked for agreement.  Every maximizer must
-    be characteristic with the right label; squares are compared as the
-    integers c adj(M) c^T, as in d_table_sharp.
+    The sharp table of the twist knot form with n = (D+1)/2, which is the
+    intersection form of the trace of that surgery; coker_map labels its
+    covectors (a, b) by a + n*b.
     """
     if D < 3 or D % 2 == 0:
         raise ValueError("D must be odd and at least 3")
-    n = (D + 1) // 2
-    rn = twist_knot_form(n)
-    coker = coker_map(rn)
-    adj, det = linalg.adjugate(rn), linalg.det(rn)
-    values = [None] * D
-    for i in range(n + 1):
-        squares = []
-        for alpha in _table_maximizers(D, i):
-            if coker.label(alpha) != (2 * i) % D:
-                raise TheoremViolation(f"maximizer {alpha} has the wrong label")
-            if any((a - rn[t][t]) % 2 for t, a in enumerate(alpha)):
-                raise TheoremViolation(f"maximizer {alpha} is not characteristic")
-            squares.append(_adjugate_square(adj, alpha))
-        sq = squares[0]
-        if any(s != sq for s in squares):
-            raise TheoremViolation(f"maximizers disagree: {(D, i, squares)}")
-        val = (Fraction(sq, det) + 2) / 4
-        for res in (i % D, -i % D):
-            if values[res] is None:
-                values[res] = val
-            elif values[res] != val:
-                raise TheoremViolation(f"conjugate labels disagree: {(D, i)}")
-    return DTable(D, tuple(values))
+    return d_table_sharp(twist_knot_form((D + 1) // 2))
 
 
 def halfint_symmetry_test(table, unknot):

