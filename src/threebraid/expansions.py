@@ -309,20 +309,30 @@ def _expand_layer(members, kinds, seeds=()):
     return layer
 
 
+@lru_cache(maxsize=None)
+def _balanced_layer(r):
+    """(members in discovery order, members in key order) of balanced rank r.
+
+    Each rank is grown once per process, by kind-1 and kind-3 moves on
+    the rank below in its discovery order: that order decides which
+    member each class keeps, so the key order must not feed the growth.
+    """
+    below = _balanced_layer(r - 1)[0] if r > 2 else ()
+    layer = _expand_layer(below, (1, 3), _SEEDS.get(r, ()))
+    return tuple(layer.values()), tuple(layer[k] for k in sorted(layer))
+
+
 def generate_balanced(r_max):
     """All balanced partial witnesses of rank 2..r_max, canonically deduped.
 
     Breadth-first expansion by kind-1 and kind-3 moves from the three
-    seeds.  Returns a dict rank -> tuple of members (one representative per
-    class, in canonical-key order).
+    seeds.  Returns a new dict rank -> tuple of members (one representative
+    per class, in canonical-key order).  Each rank is grown once per
+    process and shared with no_orthogonal_completion.
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    layers, layer = {}, {}
-    for r in range(2, r_max + 1):
-        layer = _expand_layer(layer.values(), (1, 3), _SEEDS.get(r, ()))
-        layers[r] = tuple(layer[k] for k in sorted(layer))
-    return layers
+    return {r: _balanced_layer(r)[1] for r in range(2, r_max + 1)}
 
 
 def column_multiset_check(pe):
@@ -471,7 +481,11 @@ def completion_x_tail(pe):
 
 def no_orthogonal_completion(r_max):
     """True when no balanced member of rank <= r_max with orthogonal marks
-    extends to a witness."""
+    extends to a witness.
+
+    The members are those of generate_balanced, whose ranks are grown
+    once per process and shared by both calls.
+    """
     return no_orthogonal_completion_in(generate_balanced(r_max))
 
 

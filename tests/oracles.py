@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 from math import isqrt
+from operator import mul
 
 from threebraid import expansions as xp
 from threebraid import embed, forms, linalg
@@ -540,7 +541,7 @@ def brute_balanced(r):
                 for cand in _headed_pool(diag[k], width - 2, head):
                     bad = False
                     for t in range(k):
-                        if sum(x * y for x, y in zip(cand, rows[t])) != tgt[k][t]:
+                        if sum(map(mul, cand, rows[t])) != tgt[k][t]:
                             bad = True
                             break
                     if not bad:

@@ -80,6 +80,45 @@ def test_generation_counts():
         {xp.canonical_form(pe) for pe in layers[3]}
 
 
+def _rows(layers):
+    return {r: [pe.rows for pe in ms] for r, ms in layers.items()}
+
+
+def test_each_balanced_rank_is_grown_once(monkeypatch):
+    """generate_balanced and no_orthogonal_completion share the ranks."""
+    kinds_seen = []
+    expand_layer = xp._expand_layer
+    monkeypatch.setattr(xp, "_expand_layer", lambda members, kinds, seeds=():
+                        kinds_seen.append(kinds)
+                        or expand_layer(members, kinds, seeds))
+    xp._balanced_layer.cache_clear()
+    xp.generate_balanced(6)
+    assert xp.no_orthogonal_completion(6)
+    assert kinds_seen.count((1, 3)) == 5
+
+
+def test_balanced_ranks_ignore_call_order():
+    """Rank by rank from discovery order, whichever rank was asked first."""
+    xp._balanced_layer.cache_clear()
+    cold = _rows(xp.generate_balanced(7))
+    xp._balanced_layer.cache_clear()
+    xp.generate_balanced(4)
+    assert _rows(xp.generate_balanced(7)) == cold
+    regrown, layer = {}, {}
+    for r in range(2, 8):
+        layer = xp._expand_layer(layer.values(), (1, 3), xp._SEEDS.get(r, ()))
+        regrown[r] = [layer[k].rows for k in sorted(layer)]
+    assert regrown == cold
+
+
+def test_generated_layers_are_the_callers_own():
+    layers = xp.generate_balanced(5)
+    before = _rows(layers)
+    layers.pop(5)
+    layers[2] = layers[3]
+    assert _rows(xp.generate_balanced(5)) == before
+
+
 def test_generation_matches_bruteforce_small():
     layers = xp.generate_balanced(4)
     for r in (2, 3, 4):
