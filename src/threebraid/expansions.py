@@ -48,7 +48,7 @@ class PartialEmbedding:
         return tuple(row[2:] for row in self.v_rows)
 
     def pairing(self, i, j):
-        return -sum(a * b for a, b in zip(self.rows[i], self.rows[j]))
+        return -sum(map(mul, self.rows[i], self.rows[j]))
 
     def marked_rows(self):
         """Indices (i, j) of the rows with head (1, -1) and (-1, 1)."""
@@ -181,24 +181,79 @@ def canonical_form(pe):
     order tried; and y is 0 on every tail column.  So the orders compare
     by their decreasing tail columns without the y entry, and the key is
     built once, from the least.
+
+    The least order is found without trying them all, column of the key
+    by column.  The first key column is the greatest tail column, and
+    once k rows are placed its first k entries are the greatest prefix
+    among the tail columns, whatever rows follow.  So the orders are
+    grown row by row, and a partial order whose greatest prefix exceeds
+    the least one at its depth is dropped.  Once no unplaced row meets
+    the columns holding the greatest prefix, their values are fixed
+    (zeros, then the last row's entry): they are settled, the orders
+    whose settled columns are not least are dropped, and the greatest
+    prefix among the unsettled columns leads from there on.
     """
     v = pe.v_rows
     i, j = pe.marked_rows()
     mid = [row for t, row in enumerate(v) if t not in (i, j)]
     if any(row[:2] != (0, 0) for row in mid):
         raise ValueError("heads away from the marked rows must be (0, 0)")
-    mid_tails = [row[2:] for row in mid]
-    best = None
-    for first, last in ((v[i], v[j]), (v[j], v[i])):
-        head, tail = first[2:], last[2:]
-        for perm in permutations(mid_tails):
-            tails = sorted(zip(head, *perm, tail), reverse=True)
-            if best is None or tails < best:
-                best, order = tails, (first, perm, last)
-    first, perm, last = order
-    rows = (first,) + tuple((0, 0) + t for t in perm) + (last,)
+    width = len(v[0])
+    # bit t of busy[c] is set when mid row t is nonzero in column c
+    busy = [sum(1 << t for t, row in enumerate(mid) if row[c])
+            for c in range(width)]
+    bits = [(1 << t, row) for t, row in enumerate(mid)]
+    orders = _settle([((first,), (1 << len(mid)) - 1, last,
+                       tuple(range(2, width)), ())
+                      for first, last in ((v[i], v[j]), (v[j], v[i]))], busy)
+    while orders[0][3]:
+        tried = [(max([row[c] for c in order[4]]), bit, row, order)
+                 for order in orders for bit, row in bits if order[1] & bit]
+        least = min([e for e, _, _, _ in tried])
+        orders = _settle([(placed + (row,), left ^ bit, last, unsettled,
+                           tuple([c for c in lead if row[c] == e]))
+                          for e, bit, row, (placed, left, last, unsettled, lead)
+                          in tried if e == least], busy)
+    placed, left, last, _, _ = orders[0]
+    # every column is settled, so any rows left are zero on the tail
+    rows = placed + tuple(row for bit, row in bits if left & bit) + (last,)
     cols = list(zip(*rows, pe.y_row))
     return tuple(sorted(cols[:2]) + sorted(cols[2:], reverse=True))
+
+
+def _settle(orders, busy):
+    """Settle the lead columns no unplaced row can change, then regroup.
+
+    An order of canonical_form's search is a plain tuple (rows placed,
+    bit mask of the mid rows left, last row, unsettled tail columns,
+    lead), the lead being the unsettled columns with the greatest
+    prefix; it is empty only before the first grouping and after the
+    last column is settled.  The orders given share their settled
+    columns and their lead prefix, and so do the orders returned.
+    """
+    while True:
+        if orders[0][4]:
+            if any(busy[c] & left for _, left, _, _, lead in orders
+                   for c in lead):
+                return orders
+            ends = [sorted([last[c] for c in lead], reverse=True)
+                    for _, _, last, _, lead in orders]
+            least = min(ends)
+            orders = [(placed, left, last,
+                       tuple([c for c in unsettled if c not in lead]), ())
+                      for (placed, left, last, unsettled, lead), end
+                      in zip(orders, ends) if end == least]
+            if not orders[0][3]:
+                return orders
+        grouped = []
+        for placed, left, last, unsettled, _ in orders:
+            cols = list(zip(*placed))
+            top = max([cols[c] for c in unsettled])
+            grouped.append((top, (placed, left, last, unsettled,
+                                  tuple([c for c in unsettled
+                                         if cols[c] == top]))))
+        least = min([top for top, _ in grouped])
+        orders = [order for top, order in grouped if top == least]
 
 
 def expand(pe, step):
@@ -309,30 +364,20 @@ def _expand_layer(members, kinds, seeds=()):
     return layer
 
 
-@lru_cache(maxsize=None)
-def _balanced_layer(r):
-    """(members in discovery order, members in key order) of balanced rank r.
-
-    Each rank is grown once per process, by kind-1 and kind-3 moves on
-    the rank below in its discovery order: that order decides which
-    member each class keeps, so the key order must not feed the growth.
-    """
-    below = _balanced_layer(r - 1)[0] if r > 2 else ()
-    layer = _expand_layer(below, (1, 3), _SEEDS.get(r, ()))
-    return tuple(layer.values()), tuple(layer[k] for k in sorted(layer))
-
-
 def generate_balanced(r_max):
     """All balanced partial witnesses of rank 2..r_max, canonically deduped.
 
     Breadth-first expansion by kind-1 and kind-3 moves from the three
-    seeds.  Returns a new dict rank -> tuple of members (one representative
-    per class, in canonical-key order).  Each rank is grown once per
-    process and shared with no_orthogonal_completion.
+    seeds.  Returns a dict rank -> tuple of members (one representative per
+    class, in canonical-key order).
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
-    return {r: _balanced_layer(r)[1] for r in range(2, r_max + 1)}
+    layers, layer = {}, {}
+    for r in range(2, r_max + 1):
+        layer = _expand_layer(layer.values(), (1, 3), _SEEDS.get(r, ()))
+        layers[r] = tuple(layer[k] for k in sorted(layer))
+    return layers
 
 
 def column_multiset_check(pe):
@@ -481,11 +526,7 @@ def completion_x_tail(pe):
 
 def no_orthogonal_completion(r_max):
     """True when no balanced member of rank <= r_max with orthogonal marks
-    extends to a witness.
-
-    The members are those of generate_balanced, whose ranks are grown
-    once per process and shared by both calls.
-    """
+    extends to a witness."""
     return no_orthogonal_completion_in(generate_balanced(r_max))
 
 

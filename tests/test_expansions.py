@@ -84,34 +84,8 @@ def _rows(layers):
     return {r: [pe.rows for pe in ms] for r, ms in layers.items()}
 
 
-def test_each_balanced_rank_is_grown_once(monkeypatch):
-    """generate_balanced and no_orthogonal_completion share the ranks."""
-    kinds_seen = []
-    expand_layer = xp._expand_layer
-    monkeypatch.setattr(xp, "_expand_layer", lambda members, kinds, seeds=():
-                        kinds_seen.append(kinds)
-                        or expand_layer(members, kinds, seeds))
-    xp._balanced_layer.cache_clear()
-    xp.generate_balanced(6)
-    assert xp.no_orthogonal_completion(6)
-    assert kinds_seen.count((1, 3)) == 5
-
-
-def test_balanced_ranks_ignore_call_order():
-    """Rank by rank from discovery order, whichever rank was asked first."""
-    xp._balanced_layer.cache_clear()
-    cold = _rows(xp.generate_balanced(7))
-    xp._balanced_layer.cache_clear()
-    xp.generate_balanced(4)
-    assert _rows(xp.generate_balanced(7)) == cold
-    regrown, layer = {}, {}
-    for r in range(2, 8):
-        layer = xp._expand_layer(layer.values(), (1, 3), xp._SEEDS.get(r, ()))
-        regrown[r] = [layer[k].rows for k in sorted(layer)]
-    assert regrown == cold
-
-
 def test_generated_layers_are_the_callers_own():
+    """Changing the returned dict does not change the next call's."""
     layers = xp.generate_balanced(5)
     before = _rows(layers)
     layers.pop(5)
@@ -189,6 +163,29 @@ def relabelled_members(draw):
 def test_canonical_form_ignores_relabelling(pair):
     pe, copy = pair
     assert xp.canonical_form(copy) == xp.canonical_form(pe)
+
+
+@st.composite
+def marked_matrices(draw):
+    """The marked heads on two cycle rows, (0, 0) on the rest, any small tails.
+
+    Mostly-zero tails give repeated rows, zero rows and tied columns.
+    """
+    r = draw(st.integers(2, 6))
+    i, j = draw(st.permutations(range(r)))[:2]
+    entry = st.sampled_from((-1, 0, 0, 0, 1, 2))
+    tails = draw(st.lists(st.tuples(*[entry] * r), min_size=r, max_size=r))
+    heads = [(1, -1) if t == i else (-1, 1) if t == j else (0, 0)
+             for t in range(r)]
+    rows = tuple(h + tail for h, tail in zip(heads, tails))
+    return xp.PartialEmbedding(rows + ((1, 1) + (0,) * r,))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(marked_matrices())
+def test_canonical_form_is_the_least_pinned_key(pe):
+    """The pruned search finds the key of all 2 (r-2)! pinned orders."""
+    assert xp.canonical_form(pe) == oracles.pinned_canonical_form(pe)
 
 
 def test_canonical_form_needs_the_marked_heads():
