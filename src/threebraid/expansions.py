@@ -262,8 +262,14 @@ def expand(pe, step):
     kind 1: a column supported only on row `a` (entry 1) splits; row `b`
             (pairing with `a` at least 1) picks up a new entry.
     kind 3: a column with entries +1 on `a` and `c` and -1 on `b` splits.
-    Any other kind is a ValueError.
+    Any other kind is a ValueError, and so is a child that is not a
+    member: a malformed parent is refused here, not passed on.
     """
+    return _validate(_grow(pe, step))
+
+
+def _grow(pe, step):
+    """expand's move with every argument check but no membership check."""
     rows = [list(r) for r in pe.rows]
     width = len(rows[0])
     v_count = len(rows) - 1
@@ -297,7 +303,7 @@ def expand(pe, step):
     else:
         raise ValueError(f"unknown expansion kind {step.kind}")
     rows.insert(v_count, new_row)
-    return _validate(PartialEmbedding(tuple(tuple(r) for r in rows)))
+    return PartialEmbedding(tuple(tuple(r) for r in rows))
 
 
 def _expansion_steps(pe):
@@ -341,7 +347,9 @@ def _shape_key(pe):
 def _expand_layer(members, kinds, seeds=()):
     """Seeds, then every move of the given kinds on members, one per class.
 
-    Keyed by canonical form; the first member met in a class stays.
+    Keyed by canonical form; the first member met in a class stays, and
+    it alone is validated, so each member kept is checked once and a
+    failure raises.
 
     canonical_form runs once per distinct shape key, because the shape
     key is exact.  Members have zero heads away from the marked rows, so
@@ -352,15 +360,25 @@ def _expand_layer(members, kinds, seeds=()):
     columns.  Row permutations fixing y and those column moves are what
     canonical_form quotients out, so their keys are equal, and a member
     whose shape key was met before is in a class met before.
+
+    The children are grown unchecked, and a child dropped unseen loses
+    nothing.  Every parent is a validated member; a move never writes
+    columns 0 and 1, and the new row's head is (0, 0), so every child
+    keeps the marked heads that make the shape key exact.  A dropped
+    child thus has the shape key or canonical key of a validated member,
+    so it is that member up to row permutations fixing y and column
+    moves, and membership is invariant under those.
     """
-    grown = (expand(pe, step) for pe in members
+    grown = (_grow(pe, step) for pe in members
              for step in _expansion_steps(pe) if step.kind in kinds)
     layer, shapes = {}, set()
     for pe in chain(seeds, grown):
         shape = _shape_key(pe)
         if shape not in shapes:
             shapes.add(shape)
-            layer.setdefault(canonical_form(pe), pe)
+            key = canonical_form(pe)
+            if key not in layer:
+                layer[key] = _validate(pe)
     return layer
 
 
@@ -369,7 +387,8 @@ def generate_balanced(r_max):
 
     Breadth-first expansion by kind-1 and kind-3 moves from the three
     seeds.  Returns a dict rank -> tuple of members (one representative per
-    class, in canonical-key order).
+    class, in canonical-key order).  Each member returned, seeds included,
+    passed the membership check once, when its layer kept it.
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")

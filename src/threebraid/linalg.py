@@ -73,14 +73,24 @@ def is_negative_definite(m):
     """True iff the symmetric integer matrix is negative definite.
 
     Checked through the leading principal minors: the j-th minor must have
-    sign (-1)^j.  Raises ValueError on non-symmetric input.
+    sign (-1)^j.  One Bareiss elimination without row swaps gives them
+    all, pivot k being the (k+1)-th minor; it stops at the first pivot of
+    the wrong sign, before a zero pivot could be divided by.  Raises
+    ValueError on non-symmetric input.
     """
     if not is_symmetric(m):
         raise ValueError("matrix is not symmetric")
-    for j in range(1, len(m) + 1):
-        minor = _det_int([row[:j] for row in m[:j]])
-        if (minor if j % 2 == 0 else -minor) <= 0:
+    a = [list(row) for row in m]
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        pivot = a[k][k]
+        if (pivot if k % 2 else -pivot) <= 0:
             return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
+        prev = pivot
     return True
 
 

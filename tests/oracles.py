@@ -27,6 +27,8 @@ every member.  `retired_criterion_search`, the plain backtracker that
 scans every row's whole candidate pool, is the retired form of
 `embed.criterion_search`.  `signed_column_canonical` is the retired
 dedup key of `embed.embed_form`, whose leaves are now canonical as found.
+`minors_negative_definite`, one determinant per leading principal minor,
+is the retired form of `linalg.is_negative_definite`.
 """
 
 from fractions import Fraction
@@ -160,6 +162,21 @@ def fraction_inverse(m):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return tuple(tuple(row[n:]) for row in a)
+
+
+def minors_negative_definite(m):
+    """Negative definiteness by one determinant per leading principal minor.
+
+    The retired form of `linalg.is_negative_definite`: the j-th minor must
+    have sign (-1)^j.
+    """
+    if not linalg.is_symmetric(m):
+        raise ValueError("matrix is not symmetric")
+    for j in range(1, len(m) + 1):
+        minor = linalg.det([row[:j] for row in m[:j]])
+        if (minor if j % 2 == 0 else -minor) <= 0:
+            return False
+    return True
 
 
 def adjugate_square(adj, c):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import re
 from functools import lru_cache
 
@@ -82,6 +84,32 @@ def test_generation_counts():
 
 def _rows(layers):
     return {r: [pe.rows for pe in ms] for r, ms in layers.items()}
+
+
+def test_balanced_family_is_pinned():
+    """The rows of generate_balanced(7), in order, hash as they always have."""
+    layers = xp.generate_balanced(7)
+    rows = [[list(row) for row in pe.rows]
+            for r in sorted(layers) for pe in layers[r]]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+        "d6aa11909f2e2199ad6b13780c65fff5cd20bb6b87b59af44028c876277da2e7"
+
+
+def test_each_kept_member_is_validated_once(monkeypatch):
+    """The membership check runs on the members kept, not on every child."""
+    checked, validate = [], xp._validate
+
+    def counting(pe):
+        checked.append(pe)
+        return validate(pe)
+
+    monkeypatch.setattr(xp, "_validate", counting)
+    members = [pe for ms in xp.generate_balanced(7).values() for pe in ms]
+    assert len(members) == len(checked) == 129
+    assert {id(pe) for pe in checked} == {id(pe) for pe in members}
+    for pe in members:
+        assert validate(pe) is pe
+        assert xp.column_multiset_check(pe)
 
 
 def test_generated_layers_are_the_callers_own():
@@ -238,6 +266,27 @@ def test_expand_rejections():
     for move, message in bad:
         with pytest.raises(ValueError, match=message):
             xp.expand(m2, move)
+
+
+# SEED_M2 with its meridian row broken, then with column 3 summing to 2
+MALFORMED_PARENTS = [
+    (((1, -1, 1, 0), (-1, 1, 0, 1), (1, 1, 0, 1)),
+     "meridian row must be (1, 1, 0, ..., 0)"),
+    (((1, -1, 1, 0), (-1, 1, 0, 2), (1, 1, 0, 0)), "column 3 does not sum to 1"),
+]
+
+
+@pytest.mark.parametrize("rows, message", MALFORMED_PARENTS,
+                         ids=[m for _, m in MALFORMED_PARENTS])
+def test_expand_refuses_a_malformed_parent(rows, message):
+    """A move that applies to a non-member gives a child expand refuses."""
+    parent = xp.PartialEmbedding(rows)
+    step = xp.ExpansionStep(1, 0, 1, 2)
+    assert step in xp._expansion_steps(xp.SEED_M2)
+    assert step in xp._expansion_steps(parent)
+    xp._grow(parent, step)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        xp.expand(parent, step)
 
 
 def test_contract_inverse():

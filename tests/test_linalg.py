@@ -1,3 +1,5 @@
+from operator import mul
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -35,6 +37,30 @@ def test_negative_definite():
         linalg.is_negative_definite(((1, 2), (0, 1)))
     # the second leading minor vanishes: semidefinite, not definite
     assert not linalg.is_negative_definite(((-1, 1, 0), (1, -1, 0), (0, 0, -1)))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """-B B^T + s I plus a sparse symmetric noise, of size 0 to 7.
+
+    Too few columns in B give singular matrices, s > 0 or the noise
+    indefinite ones, and B of full row rank with s <= 0 definite ones.
+    """
+    n = draw(st.integers(0, 7))
+    w = draw(st.integers(0, 8))
+    b = [draw(st.tuples(*[st.integers(-2, 2)] * w)) for _ in range(n)]
+    shift = draw(st.integers(-1, 1))
+    noise = st.sampled_from((0, 0, 0, 0, 0, 0, -1, 1))
+    upper = {(i, j): draw(noise) for i in range(n) for j in range(i, n)}
+    return tuple(tuple(-sum(map(mul, b[i], b[j])) + shift * (i == j)
+                       + upper[min(i, j), max(i, j)] for j in range(n))
+                 for i in range(n))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(symmetric_matrices())
+def test_negative_definite_matches_minors(m):
+    assert linalg.is_negative_definite(m) == oracles.minors_negative_definite(m)
 
 
 def test_adjugate_exact():
