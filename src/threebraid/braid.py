@@ -88,6 +88,8 @@ class AltBraidWord:
     def canonical(cls, pairs):
         """The rotation whose signed exponent sequence (-a1, b1, ...) is least."""
         pairs = tuple((int(a), int(b)) for a, b in pairs)
+        if not pairs:
+            raise ValueError("alternating word needs m >= 1")
         m = len(pairs)
         best = min(range(m), key=lambda s: tuple(
             (-pairs[(s + i) % m][0], pairs[(s + i) % m][1]) for i in range(m)))
@@ -122,14 +124,13 @@ class ReductionOutcome:
 
     case A: a cancelling pair appeared; residual is the cancelled word in
             s1^-1, s2 only.
-    case B: the word equals a full twist times the residual; h_factor is set.
+    case B: the word equals a full twist times the residual.
     case C: the word itself stopped as s1 s2^k for k in {1, 2, 3}.
     """
 
     case: str
     residual: RawBraidWord
     trace: tuple
-    h_factor: bool = False
 
 
 @dataclass(frozen=True)
@@ -243,21 +244,27 @@ def alt_canonical(word):
     Returns an AltBraidWord (canonical rotation) when the cyclic word is
     strictly alternating s1^-a s2^b ...; otherwise None.
     """
-    syms = symbols_of(word)
+    pairs = _alt_pairs(symbols_of(word))
+    return None if pairs is None else AltBraidWord.canonical(pairs)
+
+
+def _alt_pairs(syms):
+    """Pairs (a_i, b_i) of cyclic crossings spelling s1^-a1 s2^b1 ..., or None.
+
+    They are read from the s1 block holding syms[0], or from the next one
+    when syms[0] is in an s2 block.
+    """
     if not syms or any(s in (1, -2) for s in syms):
         return None
+    # only s1^-1 and s2 remain, so the merged letters alternate round the
+    # cycle and there is an even number of them unless there is one
     letters = word_from_symbols(syms, cyclic=True).letters
-    if len(letters) < 2 or len(letters) % 2:
+    if len(letters) < 2:
         return None
     if letters[0][0] == 2:
         letters = letters[1:] + letters[:1]
-    pairs = []
-    for i in range(0, len(letters), 2):
-        (g1, e1), (g2, e2) = letters[i], letters[i + 1]
-        if (g1, g2) != (1, 2) or e1 >= 0 or e2 <= 0:
-            return None
-        pairs.append((-e1, e2))
-    return AltBraidWord.canonical(pairs)
+    return tuple((-a, b) for (_, a), (_, b)
+                 in zip(letters[::2], letters[1::2]))
 
 
 def alt_words(bound):
@@ -376,11 +383,11 @@ def _classify(syms, trace):
     if (n >= 5
             and syms[(i0 - 1) % n] == syms[(i0 - 2) % n] == 2
             and syms[(i0 + 1) % n] == syms[(i0 + 2) % n] == 2):
-        # s2^2 s1 s2^2 equals s1^-1 times a full twist; keep the twist as a flag
+        # s2^2 s1 s2^2 equals s1^-1 times a full twist
         drop = {i0, (i0 - 1) % n, (i0 - 2) % n, (i0 + 1) % n, (i0 + 2) % n}
         out = [s for k, s in enumerate(syms) if k not in drop]
         out.insert(0, -1)
-        return ReductionOutcome("B", word_from_symbols(out), trace, h_factor=True)
+        return ReductionOutcome("B", word_from_symbols(out), trace)
     tail = syms[i0 + 1:] + syms[:i0]
     if not all(s == 2 for s in tail) or not 1 <= len(tail) <= 3:
         raise TheoremViolation(f"unclassifiable stuck word {syms}")
@@ -435,68 +442,28 @@ def unknotting_crossings(word):
 
 # --- generation of all unknotting diagrams -------------------------------
 
-_SWAPMAP = {-1: 2, 2: -1, 1: -2, -2: 1}
-
-
-def _marked_transform(syms, mark, op):
-    """Apply 'swap' / 'mirror' to marked crossings; mark follows its crossing."""
-    if op == "swap":
-        return [_SWAPMAP[s] for s in syms], mark
-    if op == "mirror":
-        return [_SWAPMAP[s] for s in reversed(syms)], len(syms) - 1 - mark
-    raise ValueError(op)
-
-
-def _tagged_from_marked(syms, mark):
-    """Canonical TaggedDiagram from alternating crossings with one marked.
-
-    When the word has a cyclic symmetry the mark is pushed to the least
-    equivalent position, so rotation-equivalent inputs collapse.
-    """
-    word = alt_canonical(word_from_symbols(syms, cyclic=True))
-    if word is None:
-        return None
-    target = symbols_of(word.raw())
-    n = len(syms)
-    positions = [(mark - off) % n for off in range(n)
-                 if tuple(syms[(off + i) % n] for i in range(n)) == target]
-    if not positions:
-        raise TheoremViolation("mark tracking lost")
-    letter, _ = _letter_of_crossing(word, min(positions))
-    # crossings inside one block are interchangeable; slot 0 represents them
-    return TaggedDiagram(word, CrossingRef(letter, 0))
-
-
-def _letter_of_crossing(word, pos):
-    at = 0
-    for idx, (_, e) in enumerate(word.raw().letters):
-        if pos < at + abs(e):
-            return idx, pos - at
-        at += abs(e)
-    raise IndexError(pos)
-
-
-def _diagram_orbit(tag):
-    """Orbit of a tagged diagram under the swap and mirror symmetries."""
-    syms = list(symbols_of(tag.word.raw()))
-    base = sum(abs(e) for _, e in tag.word.raw().letters[:tag.crossing.letter_index])
-    mark = base + tag.crossing.strand_slot
-    orbit = []
-    for ops in ((), ("swap",), ("mirror",), ("swap", "mirror")):
-        s, m = syms, mark
-        for op in ops:
-            s, m = _marked_transform(s, m, op)
-        orbit.append(_tagged_from_marked(s, m))
-    return orbit
-
-
-def _tag_key(tag):
-    return (tag.word.pairs, tag.crossing.letter_index, tag.crossing.strand_slot)
-
-
 def canonical_tag(tag):
-    """Least representative of a tagged diagram under swap/mirror/rotation."""
-    return min(_diagram_orbit(tag), key=_tag_key)
+    """Least representative of a tagged diagram under swap/mirror/rotation.
+
+    On the block exponents (a_1, b_1, ..., a_m, b_m) these act as the
+    dihedral group: a rotation of the word shifts the sequence by two
+    blocks, the generator swap by one, and the mirror reverses it, block
+    L going to 2m - 1 - L.  Over every rotation of the sequence and of
+    its reversal, the least (pairs, marked block) is kept whose pairs are
+    their own canonical rotation.  Crossings inside one block are
+    interchangeable, so slot 0 stands for the marked block.
+    """
+    exps = tuple(e for pair in tag.word.pairs for e in pair)
+    n, mark = len(exps), tag.crossing.letter_index
+    keys = []
+    for seq, at in ((exps, mark), (exps[::-1], n - 1 - mark)):
+        for s in range(n):
+            rot = seq[s:] + seq[:s]
+            pairs = tuple(zip(rot[::2], rot[1::2]))
+            if AltBraidWord.canonical(pairs).pairs == pairs:
+                keys.append((pairs, (at - s) % n))
+    pairs, letter = min(keys)
+    return TaggedDiagram(AltBraidWord(pairs), CrossingRef(letter, 0))
 
 
 def enumerate_unknotting_words(max_total_exponent):
@@ -541,11 +508,13 @@ def enumerate_unknotting_words(max_total_exponent):
 
     tagged = set()
     for syms in words:
-        mark = syms.index(1)
-        flipped = list(syms)
-        flipped[mark] = -1
-        tag = _tagged_from_marked(flipped, mark)
-        if tag is None or tag.word.total_exponent() > max_total_exponent:
+        if len(syms) > max_total_exponent:
             continue
-        tagged.add(canonical_tag(tag))
-    return tuple(sorted(tagged, key=_tag_key))
+        # the changed crossing, changed back, starts the word, so it is in
+        # block 0; only s1^-1 and s2 crossings remain, and both occur
+        mark = syms.index(1)
+        pairs = _alt_pairs((-1,) + syms[mark + 1:] + syms[:mark])
+        tagged.add(canonical_tag(TaggedDiagram(AltBraidWord(pairs),
+                                               CrossingRef(0, 0))))
+    return tuple(sorted(tagged, key=lambda t: (t.word.pairs,
+                                                t.crossing.letter_index)))

@@ -106,18 +106,15 @@ def _u1_matrix(args):
     if args.sigma not in (0, 2):
         raise ValueError("mirror the diagram first: --sigma must be 0 or 2")
     d = goeritz.determinant(form)
-    if d % 2 == 0:
-        raise ValueError("matrix determinant is even; not a knot form")
-    if (d - args.sigma - 1) % 4:
-        raise ValueError(f"no knot has determinant {d} and signature "
-                         f"{args.sigma}: D = sigma + 1 (mod 4) fails")
-    stage, sols = embed.search_stage(form, (d + 1) // 2,
-                                     not args.no_change_making)
-    doc = {"determinant": d, "sigma": args.sigma, "n": (d + 1) // 2,
+    # refuses an even D, and a D not congruent to sigma + 1 mod 4; a bare
+    # matrix has no word, so no s-invariant
+    n = goeritz.InvariantRecord(d, args.sigma, None, (d + 1) // 2).n
+    stage, sols = embed.search_stage(form, n, not args.no_change_making)
+    doc = {"determinant": d, "sigma": args.sigma, "n": n,
            "stage": stage, "witnesses": [a.to_json() for a in sols],
            "note": "external matrix: no diagram, so no crossing extraction; "
                    "a sigma-0 obstruction covers the supplied side only"}
-    lines = [f"determinant: {d}   n: {(d + 1) // 2}", f"stage: {stage}"]
+    lines = [f"determinant: {d}   n: {n}", f"stage: {stage}"]
     for a in sols:
         lines.append("witness matrix:")
         lines.extend(f"  {list(row)}" for row in a.rows)

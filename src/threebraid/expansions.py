@@ -21,8 +21,9 @@ from functools import lru_cache
 from itertools import chain, permutations
 from operator import mul
 
-from . import linalg
-from .embed import TheoremViolation, change_making_ok
+from . import goeritz, linalg
+from .embed import change_making_ok
+from .linalg import TheoremViolation
 
 
 @dataclass(frozen=True)
@@ -51,12 +52,24 @@ class PartialEmbedding:
         return -sum(map(mul, self.rows[i], self.rows[j]))
 
     def marked_rows(self):
-        """Indices (i, j) of the rows with head (1, -1) and (-1, 1)."""
-        i = [t for t, row in enumerate(self.v_rows) if row[:2] == (1, -1)]
-        j = [t for t, row in enumerate(self.v_rows) if row[:2] == (-1, 1)]
-        if len(i) != 1 or len(j) != 1:
+        """Indices (i, j) of the rows with head (1, -1) and (-1, 1).
+
+        Every other cycle row must have head (0, 0): a ValueError names
+        the first row that breaks this, a repeated mark included.
+        """
+        i = j = None
+        for t, row in enumerate(self.v_rows):
+            head = row[:2]
+            if head == (1, -1) and i is None:
+                i = t
+            elif head == (-1, 1) and j is None:
+                j = t
+            elif head != (0, 0):
+                raise ValueError(f"row {t} head {head} is not a new mark "
+                                 "or zero")
+        if i is None or j is None:
             raise ValueError(f"marked rows missing: {i}, {j}")
-        return i[0], j[0]
+        return i, j
 
     def to_json(self):
         i, j = self.marked_rows()
@@ -89,9 +102,11 @@ _SEEDS = {2: (SEED_M1, SEED_M2), 3: (SEED_M3,)}
 def goeritz_parameters(pe):
     """Word parameters ((a_i), (b_i)) read off -B B^T, or a ValueError.
 
-    The cycle order of the rows is recovered from the adjacency pattern;
-    membership in the partial witness family is exactly this succeeding
-    together with the column sums and the meridian row checks.
+    The partial witness checks come first: shape, meridian row, column
+    sums and orthogonality to the meridian.  The Gram matrix of the cycle
+    rows is then read by goeritz.goeritz_pairs, which recovers the cycle
+    order; membership in the partial witness family is exactly this
+    succeeding and the marked heads (PartialEmbedding.marked_rows).
     """
     rows = pe.rows
     width = len(rows[0])
@@ -102,60 +117,17 @@ def goeritz_parameters(pe):
     for j, total in enumerate(map(sum, zip(*rows))):
         if total != 1:
             raise ValueError(f"column {j} does not sum to 1")
-    r = pe.r
     cycle = pe.v_rows
-    gram = [[-sum(map(mul, u, w)) for w in cycle] for u in cycle]
     # y = (1, 1, 0, ..., 0), so the pairing with y is -(u_0 + u_1)
     if any(u[0] + u[1] for u in cycle):
         raise ValueError("meridian row is not orthogonal to the cycle rows")
-    if r < 2:
-        raise ValueError("need r >= 2")
-    if r == 2:
-        if gram[0][1] != 2:
-            raise ValueError("r = 2 needs a doubled edge")
-        a = [-gram[i][i] - 2 for i in range(2)]
-        if min(a) < 0 or max(a) < 1:
-            raise ValueError("invalid diagonal")
-        if min(a) == 0:
-            return ((max(a),), (2,))
-        return (tuple(a), (1, 1))
-    # rebuild the cycle from the off-diagonal 1s
-    nbrs = [[j for j in range(r) if j != i and gram[i][j] == 1] for i in range(r)]
-    if any(len(nb) != 2 for nb in nbrs):
-        raise ValueError("cycle rows do not form an r-cycle")
-    for i in range(r):
-        for j in range(r):
-            if j != i and gram[i][j] not in (0, 1):
-                raise ValueError("off-diagonal entries must be 0 or 1")
-    # a walk through r distinct vertices of degree 2 closes up by itself:
-    # the adjacency is symmetric, so the last vertex's second neighbour
-    # can only be the start
-    order = [0, nbrs[0][0]]
-    while len(order) < r:
-        prev, cur = order[-2], order[-1]
-        nxt = nbrs[cur][0] if nbrs[cur][0] != prev else nbrs[cur][1]
-        if nxt in order:
-            raise ValueError("adjacency is not a single cycle")
-        order.append(nxt)
-    diag = [-gram[i][i] for i in order]
-    if any(d < 2 for d in diag):
-        raise ValueError("diagonal entries must be at most -2")
-    # there is always a hub: the cycle rows sum to (0, 0, 1, ..., 1) and
-    # each pairs to 1 with two others and to 0 with the rest, so the
-    # square r of that sum is sum(diag) - 2r, and sum(diag) = 3r > 2r
-    hubs = [t for t in range(r) if diag[t] > 2]
-    # block t runs from hub t to the next, the last wrapping round
-    b_seq = [b - a for a, b in zip(hubs, hubs[1:] + [hubs[0] + r])]
-    return (tuple(diag[h] - 2 for h in hubs), tuple(b_seq))
+    gram = [[-sum(map(mul, u, w)) for w in cycle] for u in cycle]
+    return tuple(zip(*goeritz.goeritz_pairs(gram)))
 
 
 def _validate(pe):
     goeritz_parameters(pe)
     pe.marked_rows()
-    # heads away from the marked pair must vanish
-    for t, row in enumerate(pe.v_rows):
-        if row[:2] not in ((0, 0), (1, -1), (-1, 1)):
-            raise ValueError(f"row {t} head {row[:2]} is not a mark or zero")
     return pe
 
 
@@ -196,8 +168,6 @@ def canonical_form(pe):
     v = pe.v_rows
     i, j = pe.marked_rows()
     mid = [row for t, row in enumerate(v) if t not in (i, j)]
-    if any(row[:2] != (0, 0) for row in mid):
-        raise ValueError("heads away from the marked rows must be (0, 0)")
     width = len(v[0])
     # bit t of busy[c] is set when mid row t is nonzero in column c
     busy = [sum(1 << t for t, row in enumerate(mid) if row[c])

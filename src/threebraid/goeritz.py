@@ -45,38 +45,79 @@ class GoeritzForm:
 def goeritz_3braid(word):
     """Goeritz form of the standard closure diagram of an alternating word.
 
+    >>> goeritz_3braid(AltBraidWord(((4, 1), (1, 2)))).matrix
+    ((-6, 1, 1), (1, -3, 1), (1, 1, -2))
+    """
+    matrix = _cycle_matrix(word.pairs)
+    # block l's hub row is its first s2 crossing's region: crossing i of
+    # the s2 crossings in word order sits between regions i and i + 1
+    region_map, cycle = [()] * word.r, []
+    for l, (a, b) in enumerate(word.pairs):
+        region_map[len(cycle)] = tuple(CrossingRef(2 * l, k) for k in range(a))
+        cycle.extend(CrossingRef(2 * l + 1, k) for k in range(b))
+    form = GoeritzForm(matrix, tuple(region_map), tuple(cycle), word)
+    if not linalg.is_negative_definite(matrix):
+        raise linalg.TheoremViolation("Goeritz form is not negative definite")
+    return form
+
+
+def _cycle_matrix(pairs):
+    """goeritz_3braid's matrix rule, on the pairs (a_l, b_l) of a word.
+
     Entry (i, j) counts the steps t in (+1, -1) with (i + t) mod r = j;
     the diagonal adds -2, and -a_l more on the hub row of block l.  So
     cycle neighbours pair to 1, the doubled edge of r = 2 to 2, and the
     one region of r = 1 gets -a_1.
-
-    >>> goeritz_3braid(AltBraidWord(((4, 1), (1, 2)))).matrix
-    ((-6, 1, 1), (1, -3, 1), (1, 1, -2))
     """
-    pairs = word.pairs
-    r = word.r
+    r = sum(b for _, b in pairs)
     rows = [[0] * r for _ in range(r)]
     for i in range(r):
         rows[i][i] -= 2
         for t in (1, -1):
             rows[i][(i + t) % r] += 1
-    region_map = [()] * r
     at = 0             # the hub row of block l
-    for l, (a, b) in enumerate(pairs):
+    for a, b in pairs:
         rows[at][at] -= a
-        region_map[at] = tuple(CrossingRef(2 * l, k) for k in range(a))
         at += b
-    matrix = tuple(map(tuple, rows))
+    return tuple(map(tuple, rows))
 
-    # the s2 crossings in word order: crossing i sits between regions i, i+1
-    cycle = []
-    for l, (_, b) in enumerate(pairs):
-        for k in range(b):
-            cycle.append(CrossingRef(2 * l + 1, k))
-    form = GoeritzForm(matrix, tuple(region_map), tuple(cycle), word)
-    if not linalg.is_negative_definite(matrix):
-        raise linalg.TheoremViolation("Goeritz form is not negative definite")
-    return form
+
+def goeritz_pairs(matrix):
+    """The pairs (a_l, b_l) of the word whose Goeritz matrix this is.
+
+    The rows may come in any order.  The cycle is walked from row 0,
+    first to its least positively paired row; block l starts at the l-th
+    hub row (diagonal below -2) of the walk.  The pairs are returned only
+    when goeritz_3braid's rule rebuilds the matrix exactly in the walk's
+    row order, else ValueError; r = 1 is refused, as it has no cycle.
+
+    >>> goeritz_pairs(((-2, 1, 1), (1, -6, 1), (1, 1, -3)))
+    ((4, 1), (1, 2))
+    """
+    r = len(matrix)
+    if r < 2:
+        raise ValueError("need r >= 2")
+    order = [0]
+    while len(order) < r:
+        step = [j for j, x in enumerate(matrix[order[-1]])
+                if x > 0 and j not in order]
+        if not step:
+            raise ValueError("positive pairings do not form an r-cycle")
+        order.append(step[0])
+    hubs = [t for t, i in enumerate(order) if matrix[i][i] < -2]
+    if not hubs:
+        raise ValueError("no hub row: no diagonal entry is below -2")
+    order = order[hubs[0]:] + order[:hubs[0]]
+    pairs = []
+    for i in order:
+        if matrix[i][i] < -2:
+            pairs.append([-matrix[i][i] - 2, 0])
+        pairs[-1][1] += 1
+    pairs = tuple(map(tuple, pairs))
+    if _cycle_matrix(pairs) != tuple(tuple(matrix[i][j] for j in order)
+                                     for i in order):
+        raise ValueError("not the Goeritz matrix of an alternating 3-braid")
+    return pairs
 
 
 def determinant(form):
@@ -137,7 +178,9 @@ class InvariantRecord:
         if self.determinant != 2 * self.n - 1:
             raise ValueError("determinant / n mismatch")
         if (self.determinant - self.signature - 1) % 4:
-            raise ValueError("determinant is not congruent to signature + 1 mod 4")
+            raise ValueError(f"no knot has determinant {self.determinant} and "
+                             f"signature {self.signature}: "
+                             "D = sigma + 1 (mod 4) fails")
 
 
 def invariants(word):

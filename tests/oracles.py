@@ -29,6 +29,13 @@ scans every row's whole candidate pool, is the retired form of
 dedup key of `embed.embed_form`, whose leaves are now canonical as found.
 `minors_negative_definite`, one determinant per leading principal minor,
 is the retired form of `linalg.is_negative_definite`.
+`retired_goeritz_parameters`, with its own rank-2 branch, cycle walk
+and per-entry checks, is the retired form of
+`expansions.goeritz_parameters`, which now reads the Gram matrix through
+`goeritz.goeritz_pairs`.  `retired_canonical_tag`, which moves a marked
+crossing through the swap and the mirror crossing by crossing, is the
+retired form of `braid.canonical_tag`, now a dihedral action on the
+block exponents.
 """
 
 from fractions import Fraction
@@ -39,7 +46,8 @@ from operator import mul
 
 from threebraid import expansions as xp
 from threebraid import embed, forms, linalg
-from threebraid.braid import AltBraidWord
+from threebraid.braid import (AltBraidWord, CrossingRef, TaggedDiagram,
+                              alt_canonical, symbols_of, word_from_symbols)
 from threebraid.goeritz import GoeritzForm, goeritz_3braid
 from threebraid.linalg import TheoremViolation
 
@@ -638,3 +646,130 @@ def retired_criterion_search(form, n, change_making=True):
 
         rec(0)
     return tuple(found[k] for k in sorted(found))
+
+
+def retired_goeritz_parameters(pe):
+    """Word parameters ((a_i), (b_i)) read off -B B^T, or a ValueError.
+
+    The cycle order of the rows is recovered from the adjacency pattern;
+    membership in the partial witness family is exactly this succeeding
+    together with the column sums and the meridian row checks.
+    """
+    rows = pe.rows
+    width = len(rows[0])
+    if any(len(row) != width for row in rows) or width != len(rows) + 1:
+        raise ValueError("shape must be (r+1) x (r+2)")
+    if pe.y_row != (1, 1) + (0,) * (width - 2):
+        raise ValueError("meridian row must be (1, 1, 0, ..., 0)")
+    for j, total in enumerate(map(sum, zip(*rows))):
+        if total != 1:
+            raise ValueError(f"column {j} does not sum to 1")
+    r = pe.r
+    cycle = pe.v_rows
+    gram = [[-sum(map(mul, u, w)) for w in cycle] for u in cycle]
+    # y = (1, 1, 0, ..., 0), so the pairing with y is -(u_0 + u_1)
+    if any(u[0] + u[1] for u in cycle):
+        raise ValueError("meridian row is not orthogonal to the cycle rows")
+    if r < 2:
+        raise ValueError("need r >= 2")
+    if r == 2:
+        if gram[0][1] != 2:
+            raise ValueError("r = 2 needs a doubled edge")
+        a = [-gram[i][i] - 2 for i in range(2)]
+        if min(a) < 0 or max(a) < 1:
+            raise ValueError("invalid diagonal")
+        if min(a) == 0:
+            return ((max(a),), (2,))
+        return (tuple(a), (1, 1))
+    # rebuild the cycle from the off-diagonal 1s
+    nbrs = [[j for j in range(r) if j != i and gram[i][j] == 1] for i in range(r)]
+    if any(len(nb) != 2 for nb in nbrs):
+        raise ValueError("cycle rows do not form an r-cycle")
+    for i in range(r):
+        for j in range(r):
+            if j != i and gram[i][j] not in (0, 1):
+                raise ValueError("off-diagonal entries must be 0 or 1")
+    # a walk through r distinct vertices of degree 2 closes up by itself:
+    # the adjacency is symmetric, so the last vertex's second neighbour
+    # can only be the start
+    order = [0, nbrs[0][0]]
+    while len(order) < r:
+        prev, cur = order[-2], order[-1]
+        nxt = nbrs[cur][0] if nbrs[cur][0] != prev else nbrs[cur][1]
+        if nxt in order:
+            raise ValueError("adjacency is not a single cycle")
+        order.append(nxt)
+    diag = [-gram[i][i] for i in order]
+    if any(d < 2 for d in diag):
+        raise ValueError("diagonal entries must be at most -2")
+    # there is always a hub: the cycle rows sum to (0, 0, 1, ..., 1) and
+    # each pairs to 1 with two others and to 0 with the rest, so the
+    # square r of that sum is sum(diag) - 2r, and sum(diag) = 3r > 2r
+    hubs = [t for t in range(r) if diag[t] > 2]
+    # block t runs from hub t to the next, the last wrapping round
+    b_seq = [b - a for a, b in zip(hubs, hubs[1:] + [hubs[0] + r])]
+    return (tuple(diag[h] - 2 for h in hubs), tuple(b_seq))
+
+
+_SWAPMAP = {-1: 2, 2: -1, 1: -2, -2: 1}
+
+
+def _marked_transform(syms, mark, op):
+    """Apply 'swap' / 'mirror' to marked crossings; mark follows its crossing."""
+    if op == "swap":
+        return [_SWAPMAP[s] for s in syms], mark
+    if op == "mirror":
+        return [_SWAPMAP[s] for s in reversed(syms)], len(syms) - 1 - mark
+    raise ValueError(op)
+
+
+def _tagged_from_marked(syms, mark):
+    """Canonical TaggedDiagram from alternating crossings with one marked.
+
+    When the word has a cyclic symmetry the mark is pushed to the least
+    equivalent position, so rotation-equivalent inputs collapse.
+    """
+    word = alt_canonical(word_from_symbols(syms, cyclic=True))
+    if word is None:
+        return None
+    target = symbols_of(word.raw())
+    n = len(syms)
+    positions = [(mark - off) % n for off in range(n)
+                 if tuple(syms[(off + i) % n] for i in range(n)) == target]
+    if not positions:
+        raise TheoremViolation("mark tracking lost")
+    letter, _ = _letter_of_crossing(word, min(positions))
+    # crossings inside one block are interchangeable; slot 0 represents them
+    return TaggedDiagram(word, CrossingRef(letter, 0))
+
+
+def _letter_of_crossing(word, pos):
+    at = 0
+    for idx, (_, e) in enumerate(word.raw().letters):
+        if pos < at + abs(e):
+            return idx, pos - at
+        at += abs(e)
+    raise IndexError(pos)
+
+
+def _diagram_orbit(tag):
+    """Orbit of a tagged diagram under the swap and mirror symmetries."""
+    syms = list(symbols_of(tag.word.raw()))
+    base = sum(abs(e) for _, e in tag.word.raw().letters[:tag.crossing.letter_index])
+    mark = base + tag.crossing.strand_slot
+    orbit = []
+    for ops in ((), ("swap",), ("mirror",), ("swap", "mirror")):
+        s, m = syms, mark
+        for op in ops:
+            s, m = _marked_transform(s, m, op)
+        orbit.append(_tagged_from_marked(s, m))
+    return orbit
+
+
+def _tag_key(tag):
+    return (tag.word.pairs, tag.crossing.letter_index, tag.crossing.strand_slot)
+
+
+def retired_canonical_tag(tag):
+    """Least representative of a tagged diagram under swap/mirror/rotation."""
+    return min(_diagram_orbit(tag), key=_tag_key)

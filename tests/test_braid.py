@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from threebraid import braid
@@ -96,7 +98,6 @@ def test_reduce_case_b():
     # s1 s2^4 wraps into the double-twist pattern
     out = braid.reduce_almost_alternating(RawBraidWord(((1, 1), (2, 4))))
     assert out.case == "B"
-    assert out.h_factor
     assert braid.cyclic_key(out.residual) == (-1,)
 
 
@@ -155,13 +156,32 @@ def test_unknotting_crossings_8_7():
 
 
 def test_enumerate_matches_bruteforce_scan():
-    generated = set(braid.enumerate_unknotting_words(8))
+    generated = set(braid.enumerate_unknotting_words(12))
     scanned = set()
-    for word in braid.alt_words(8):
+    for word in braid.alt_words(12):
         for ref in braid.unknotting_crossings(word):
             scanned.add(braid.canonical_tag(TaggedDiagram(word, ref)))
     assert generated == scanned
-    assert len(generated) == 8
+    assert len(generated) == 26
+
+
+def test_enumeration_is_pinned():
+    """sha256 of (pairs, letter, slot) per tag at bound 16, in order."""
+    tags = braid.enumerate_unknotting_words(16)
+    keys = [(t.word.pairs, t.crossing.letter_index, t.crossing.strand_slot)
+            for t in tags]
+    assert len(keys) == 98
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == \
+        "71c1fdd749e891f81b78605b83d4e35ce4e04597282586ab766814e66fd356d8"
+
+
+def test_canonical_tag_matches_the_retired_orbit():
+    """Every block of every word to exponent 12, against the crossing-level
+    swap and mirror."""
+    for word in braid.alt_words(12):
+        for block in range(2 * word.m):
+            tag = TaggedDiagram(word, CrossingRef(block, 0))
+            assert braid.canonical_tag(tag) == oracles.retired_canonical_tag(tag)
 
 
 def test_enumerate_outputs_self_verify():
@@ -187,3 +207,11 @@ def test_word_json_roundtrip():
     assert RawBraidWord.from_json(w.to_json()) == w
     word = AltBraidWord(((4, 1), (1, 2)))
     assert AltBraidWord.from_json(word.to_json()) == word
+
+
+def test_empty_word_is_refused_by_its_class():
+    """No pairs: the class's own m >= 1 refusal, not a failed rotation search."""
+    for refuse in (lambda: AltBraidWord.canonical(()),
+                   lambda: AltBraidWord.from_json([])):
+        with pytest.raises(ValueError, match="^alternating word needs m >= 1$"):
+            refuse()

@@ -74,6 +74,9 @@ def test_u1_matrix_refuses_impossible_sigma(capsys, tmp_path):
         code, out, err = run_cli(capsys, "u1", "--matrix", path,
                                  "--sigma", "2")
         assert code == 2 and out == "" and "sigma + 1 (mod 4)" in err
+    path = _matrix_file(tmp_path, ((-2,),))     # even D: a link's form
+    code, out, err = run_cli(capsys, "u1", "--matrix", path, "--sigma", "0")
+    assert code == 2 and out == "" and "must be odd" in err
     path = _matrix_file(tmp_path, ((-5,),))
     code, out, _ = run_cli(capsys, "u1", "--matrix", path, "--sigma", "0")
     assert code == 0

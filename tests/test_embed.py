@@ -301,6 +301,13 @@ def test_pipeline_report_roundtrip(w87, w1079):
         assert embed.PipelineReport.from_json(rep.to_json()) == rep
 
 
+def test_pipeline_report_refuses_an_empty_word(w87):
+    data = embed.u1_pipeline(w87).to_json()
+    data["word"] = []
+    with pytest.raises(ValueError, match="^alternating word needs m >= 1$"):
+        embed.PipelineReport.from_json(data)
+
+
 def test_word_symmetry_obstruction(w87, w1079):
     passed, sides = embed.word_symmetry_obstruction(w87)
     assert passed and sides == {"table": False, "negated": True}

@@ -40,36 +40,108 @@ def test_membership_rejections():
                                                    (1, -1, 0, 0))))  # bad y
 
 
-# one matrix per ValueError of goeritz_parameters, rows with y last
+# one matrix per defect, rows with y last: (defect, rows, message), where
+# the message is goeritz_parameters' own; a defect that its Gram reader
+# goeritz.goeritz_pairs catches keeps the name the retired per-entry
+# check gave it
 GOERITZ_REJECTIONS = [
-    (((1, 1, 0),), "shape must be (r+1) x (r+2)"),
-    (((0, 0, 1), (1, 0, 0)), "meridian row must be (1, 1, 0, ..., 0)"),
-    (((0, 0, 2), (1, 1, 0)), "column 2 does not sum to 1"),
-    (((0, 1, 0, 1), (0, -1, 1, 0), (1, 1, 0, 0)),
+    ("shape must be (r+1) x (r+2)", ((1, 1, 0),),
+     "shape must be (r+1) x (r+2)"),
+    ("meridian row must be (1, 1, 0, ..., 0)", ((0, 0, 1), (1, 0, 0)),
+     "meridian row must be (1, 1, 0, ..., 0)"),
+    ("column 2 does not sum to 1", ((0, 0, 2), (1, 1, 0)),
+     "column 2 does not sum to 1"),
+    ("meridian row is not orthogonal to the cycle rows",
+     ((0, 1, 0, 1), (0, -1, 1, 0), (1, 1, 0, 0)),
      "meridian row is not orthogonal to the cycle rows"),
-    (((0, 0, 1), (1, 1, 0)), "need r >= 2"),
-    (((0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 0, 0)), "r = 2 needs a doubled edge"),
-    (((0, 0, 0, -1), (0, 0, 1, 2), (1, 1, 0, 0)), "invalid diagonal"),
-    (((0, 0, 0, 1, 0), (0, 0, 0, 0, 0), (0, 0, 1, 0, 1), (1, 1, 0, 0, 0)),
-     "cycle rows do not form an r-cycle"),
-    (((0, 0, 0, 1, 0, 1), (0, 0, 0, 1, 0, 1), (0, 0, 1, -1, 0, 0),
+    ("need r >= 2", ((0, 0, 1), (1, 1, 0)), "need r >= 2"),
+    ("r = 2 needs a doubled edge",
+     ((0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 0, 0)),
+     "positive pairings do not form an r-cycle"),
+    ("invalid diagonal", ((0, 0, 0, -1), (0, 0, 1, 2), (1, 1, 0, 0)),
+     "not the Goeritz matrix of an alternating 3-braid"),
+    ("cycle rows do not form an r-cycle",
+     ((0, 0, 0, 1, 0), (0, 0, 0, 0, 0), (0, 0, 1, 0, 1), (1, 1, 0, 0, 0)),
+     "positive pairings do not form an r-cycle"),
+    ("off-diagonal entries must be 0 or 1",
+     ((0, 0, 0, 1, 0, 1), (0, 0, 0, 1, 0, 1), (0, 0, 1, -1, 0, 0),
       (0, 0, 0, 0, 1, -1), (1, 1, 0, 0, 0, 0)),
-     "off-diagonal entries must be 0 or 1"),
+     "no hub row: no diagonal entry is below -2"),
     # two disjoint triangles: every row has two neighbours
-    (((0, 0, 1, 1, -1, 0, 0, 0), (0, 0, 1, -1, 1, 0, 0, 0),
+    ("adjacency is not a single cycle",
+     ((0, 0, 1, 1, -1, 0, 0, 0), (0, 0, 1, -1, 1, 0, 0, 0),
       (0, 0, -1, 1, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1, 1, -1),
       (0, 0, 0, 0, 0, 1, -1, 1), (0, 0, 0, 0, 0, -1, 1, 1),
-      (1, 1, 0, 0, 0, 0, 0, 0)), "adjacency is not a single cycle"),
-    (((0, 0, 1, 2, 1), (0, 0, 0, 0, -1), (0, 0, 0, -1, 1), (1, 1, 0, 0, 0)),
-     "diagonal entries must be at most -2"),
+      (1, 1, 0, 0, 0, 0, 0, 0)), "positive pairings do not form an r-cycle"),
+    ("diagonal entries must be at most -2",
+     ((0, 0, 1, 2, 1), (0, 0, 0, 0, -1), (0, 0, 0, -1, 1), (1, 1, 0, 0, 0)),
+     "not the Goeritz matrix of an alternating 3-braid"),
 ]
 
 
-@pytest.mark.parametrize("rows, message", GOERITZ_REJECTIONS,
-                         ids=[m for _, m in GOERITZ_REJECTIONS])
+@pytest.mark.parametrize("rows, message",
+                         [(rows, message) for _, rows, message
+                          in GOERITZ_REJECTIONS],
+                         ids=[defect for defect, _, _ in GOERITZ_REJECTIONS])
 def test_goeritz_parameters_rejections(rows, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         xp.goeritz_parameters(xp.PartialEmbedding(rows))
+
+
+def _outcome(read, pe):
+    try:
+        return read(pe)
+    except ValueError:
+        return ValueError
+
+
+def test_goeritz_parameters_match_the_retired_reader():
+    """Same parameters on every member, and the same refusals."""
+    for pe in _members(7):
+        assert xp.goeritz_parameters(pe) == \
+            oracles.retired_goeritz_parameters(pe)
+    for _, rows, _ in GOERITZ_REJECTIONS:
+        pe = xp.PartialEmbedding(rows)
+        assert _outcome(oracles.retired_goeritz_parameters, pe) is ValueError
+
+
+def _perturbed(pe, col, i, j):
+    """pe with +1 at (i, col) and -1 at (j, col): column sums are kept."""
+    rows = [list(row) for row in pe.rows]
+    rows[i][col] += 1
+    rows[j][col] -= 1
+    return xp.PartialEmbedding(tuple(map(tuple, rows)))
+
+
+def test_goeritz_parameters_match_the_retired_reader_near_members():
+    """Every such move of one entry pair, on every member of rank <= 5."""
+    accepted = 0
+    for pe in _members(5):
+        for col in range(2, pe.r + 2):
+            for i in range(pe.r):
+                for j in range(pe.r):
+                    if i != j:
+                        moved = _perturbed(pe, col, i, j)
+                        got = _outcome(xp.goeritz_parameters, moved)
+                        assert got == _outcome(
+                            oracles.retired_goeritz_parameters, moved)
+                        accepted += got is not ValueError
+    assert accepted > 0
+
+
+@st.composite
+def perturbed_members(draw):
+    pe = draw(st.sampled_from(_members(7)))
+    col = draw(st.integers(2, pe.r + 1))
+    i, j = draw(st.permutations(range(pe.r)))[:2]
+    return _perturbed(pe, col, i, j)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(perturbed_members())
+def test_goeritz_parameters_agree_with_the_retired_reader(pe):
+    assert _outcome(xp.goeritz_parameters, pe) == \
+        _outcome(oracles.retired_goeritz_parameters, pe)
 
 
 def test_generation_counts():

@@ -43,6 +43,32 @@ def test_one_rule_matches_the_branched_matrix():
             oracles.branched_goeritz_matrix(word), word.pairs
 
 
+def test_goeritz_pairs_reads_the_rule_back():
+    """In the rule's row order the reader returns the word's own pairs.
+
+    Rows in reverse order walk the cycle backwards from the last hub, so
+    block l's hub is followed by the b_{l-1} rows of the block before it.
+    """
+    for word in alt_words(12):
+        if word.r < 2:
+            continue
+        matrix = goeritz.goeritz_3braid(word).matrix
+        assert goeritz.goeritz_pairs(matrix) == word.pairs
+        flipped = tuple(row[::-1] for row in matrix[::-1])
+        a, b = zip(*word.pairs)
+        assert goeritz.goeritz_pairs(flipped) == \
+            tuple((a[l], b[l - 1]) for l in reversed(range(word.m)))
+
+
+def test_goeritz_pairs_refusals():
+    with pytest.raises(ValueError, match="^need r >= 2$"):
+        goeritz.goeritz_pairs(((-3,),))
+    # the 8_7 form with its (0, 1) pairing doubled: walkable, not rebuilt
+    doubled = ((-6, 2, 1), (2, -3, 1), (1, 1, -2))
+    with pytest.raises(ValueError, match="not the Goeritz matrix"):
+        goeritz.goeritz_pairs(doubled)
+
+
 def test_determinants(w87, w1079):
     assert goeritz.determinant(goeritz.goeritz_3braid(w87)) == 23
     assert goeritz.determinant(goeritz.goeritz_3braid(w1079)) == 61
@@ -121,7 +147,7 @@ def test_incidence_flip(w87, g87_matrix):
 def test_invariant_record(w87):
     rec = goeritz.invariants(w87)
     assert (rec.determinant, rec.signature, rec.n) == (23, 2, 12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"sigma \+ 1 \(mod 4\)"):
         goeritz.InvariantRecord(23, 0, 0, 12)   # wrong parity link
     with pytest.raises(ValueError):
         goeritz.InvariantRecord(24, 2, 0, 12)   # even determinant

@@ -7,13 +7,18 @@ from pathlib import Path
 import threebraid
 
 
-def _library_nodes():
-    """(file:line, node) for every AST node of src/threebraid/*.py."""
+def _library_trees():
+    """(file name, AST) for every module of src/threebraid/*.py."""
     package = Path(threebraid.__file__).parent
     for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def _library_nodes():
+    """(file:line, node) for every AST node of src/threebraid/*.py."""
+    for name, tree in _library_trees():
         for node in ast.walk(tree):
-            yield f"{path.name}:{getattr(node, 'lineno', 0)}", node
+            yield f"{name}:{getattr(node, 'lineno', 0)}", node
 
 
 def test_no_assert_statements_in_the_library():
@@ -53,3 +58,27 @@ def test_docstring_examples_hold():
         assert result.failed == 0, name
         attempted += result.attempted
     assert attempted >= 5
+
+
+def test_no_private_names_across_library_modules():
+    """No module imports, or reads as an attribute, an underscore name of a
+    sibling module: what one module uses of another is public."""
+    found = []
+    for name, tree in _library_trees():
+        siblings = set()    # local names bound to sibling modules
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not (
+                    node.level or node.module.split(".")[0] == "threebraid"):
+                continue
+            for alias in node.names:
+                if node.module in (None, "threebraid"):
+                    siblings.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append(f"{name}:{node.lineno} {alias.name}")
+        found.extend(f"{name}:{node.lineno} {node.value.id}.{node.attr}"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id in siblings
+                     and node.attr.startswith("_"))
+    assert found == []
