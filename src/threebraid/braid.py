@@ -451,10 +451,15 @@ def canonical_tag(tag):
     L going to 2m - 1 - L.  Over every rotation of the sequence and of
     its reversal, the least (pairs, marked block) is kept whose pairs are
     their own canonical rotation.  Crossings inside one block are
-    interchangeable, so slot 0 stands for the marked block.
+    interchangeable, so slot 0 stands for the marked block.  A crossing
+    outside the diagram raises IndexError, as in change_crossing.
     """
     exps = tuple(e for pair in tag.word.pairs for e in pair)
     n, mark = len(exps), tag.crossing.letter_index
+    if not 0 <= mark < n:
+        raise IndexError("crossing letter out of range")
+    if not 0 <= tag.crossing.strand_slot < exps[mark]:
+        raise IndexError("crossing slot out of range")
     keys = []
     for seq, at in ((exps, mark), (exps[::-1], n - 1 - mark)):
         for s in range(n):

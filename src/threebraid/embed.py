@@ -110,6 +110,10 @@ def _norm_vectors(norm, k):
     return tuple(out)
 
 
+# one tuple per distinct candidate row, shared by every _row_candidates key
+_ROWS = {}
+
+
 @lru_cache(maxsize=None)
 def _row_candidates(diag, xbar):
     """Rows c with |c|^2 + 2 (c . xbar)^2 == diag, as tuples.
@@ -117,6 +121,10 @@ def _row_candidates(diag, xbar):
     These are the possible truncated cycle rows of a witness for the given
     x tail: the first two (equal) entries of the full row are forced to
     -(c . xbar), and the diagonal Gram entry prescribes the total.
+
+    The cache lives as long as the process, and its keys share their
+    rows: a row equal in value to one already handed out, under any key,
+    is that same tuple, so the cache stores each distinct row once.
     """
     r = len(xbar)
     order = sorted(range(r), key=lambda j: -xbar[j])
@@ -135,7 +143,8 @@ def _row_candidates(diag, xbar):
             for vec in _norm_vectors(need, len(zcols)):
                 for j, v in zip(zcols, vec):
                     entries[j] = v
-                out.append(tuple(entries))
+                row = tuple(entries)
+                out.append(_ROWS.setdefault(row, row))
             for j in zcols:
                 entries[j] = 0
             return

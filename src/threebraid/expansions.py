@@ -109,8 +109,8 @@ def goeritz_parameters(pe):
     succeeding and the marked heads (PartialEmbedding.marked_rows).
     """
     rows = pe.rows
-    width = len(rows[0])
-    if any(len(row) != width for row in rows) or width != len(rows) + 1:
+    width = len(rows) + 1
+    if not rows or any(len(row) != width for row in rows):
         raise ValueError("shape must be (r+1) x (r+2)")
     if pe.y_row != (1, 1) + (0,) * (width - 2):
         raise ValueError("meridian row must be (1, 1, 0, ..., 0)")

@@ -25,7 +25,10 @@ compares whole keys over the pinned row orders, is the retired form of
 layers from the seeds as `expansions._reachable_by_kind1` once did for
 every member.  `retired_criterion_search`, the plain backtracker that
 scans every row's whole candidate pool, is the retired form of
-`embed.criterion_search`.  `signed_column_canonical` is the retired
+`embed.criterion_search`.  `retired_row_candidates`, uncached and
+building a new tuple for every row, is the retired form of
+`embed._row_candidates`, which hands out one shared tuple per distinct
+row.  `signed_column_canonical` is the retired
 dedup key of `embed.embed_form`, whose leaves are now canonical as found.
 `minors_negative_definite`, one determinant per leading principal minor,
 is the retired form of `linalg.is_negative_definite`.
@@ -585,6 +588,45 @@ def brute_balanced(r):
 
         rec(0, False, False, [0] * width)
     return found
+
+
+def retired_row_candidates(diag, xbar):
+    """Rows c with |c|^2 + 2 (c . xbar)^2 == diag, as tuples.
+
+    These are the possible truncated cycle rows of a witness for the given
+    x tail: the first two (equal) entries of the full row are forced to
+    -(c . xbar), and the diagonal Gram entry prescribes the total.
+    """
+    r = len(xbar)
+    order = sorted(range(r), key=lambda j: -xbar[j])
+    first_zero = next((t for t in range(r) if xbar[order[t]] == 0), r)
+    out = []
+    entries = [0] * r
+
+    def rec(idx, q, s):
+        if q > diag:
+            return
+        if idx == first_zero:
+            need = diag - q - 2 * s * s
+            if need < 0:
+                return
+            zcols = order[idx:]
+            for vec in norm_vectors(need, len(zcols)):
+                for j, v in zip(zcols, vec):
+                    entries[j] = v
+                out.append(tuple(entries))
+            for j in zcols:
+                entries[j] = 0
+            return
+        j = order[idx]
+        b = isqrt(diag - q)
+        for v in range(-b, b + 1):
+            entries[j] = v
+            rec(idx + 1, q + v * v, s + v * xbar[j])
+        entries[j] = 0
+
+    rec(0, 0, 0)
+    return tuple(out)
 
 
 def retired_criterion_search(form, n, change_making=True):

@@ -184,6 +184,32 @@ def test_canonical_tag_matches_the_retired_orbit():
             assert braid.canonical_tag(tag) == oracles.retired_canonical_tag(tag)
 
 
+@pytest.mark.parametrize("ref, message", [
+    (CrossingRef(4, 0), "crossing letter out of range"),
+    (CrossingRef(9, 0), "crossing letter out of range"),
+    (CrossingRef(-1, 0), "crossing letter out of range"),
+    (CrossingRef(0, 4), "crossing slot out of range"),
+    (CrossingRef(1, 1), "crossing slot out of range"),
+    (CrossingRef(3, -1), "crossing slot out of range"),
+])
+def test_canonical_tag_refuses_a_crossing_outside_the_diagram(w87, ref,
+                                                              message):
+    """The same refusals as change_crossing; the retired orbit wrapped."""
+    with pytest.raises(IndexError, match=f"^{message}$"):
+        braid.change_crossing(w87, ref)
+    with pytest.raises(IndexError, match=f"^{message}$"):
+        braid.canonical_tag(TaggedDiagram(w87, ref))
+
+
+def test_canonical_tag_accepts_every_crossing_of_the_diagram(w87):
+    for letter, e in enumerate((4, 1, 1, 2)):
+        for slot in range(e):
+            tag = braid.canonical_tag(TaggedDiagram(w87, CrossingRef(letter,
+                                                                     slot)))
+            assert tag == braid.canonical_tag(
+                TaggedDiagram(w87, CrossingRef(letter, 0)))
+
+
 def test_enumerate_outputs_self_verify():
     for tag in braid.enumerate_unknotting_words(9):
         changed = braid.change_crossing(tag.word, tag.crossing)

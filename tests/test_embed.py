@@ -79,12 +79,9 @@ def test_criterion_refuses_malformed_raw_forms(matrix, message):
             embed.search_stage(matrix, 2, enforce)
 
 
-def test_criterion_matches_retired_loop(monkeypatch):
-    """Same matrices in the same order as the plain backtracker.
-
-    The sides are every (form, n) that u1_pipeline hands to search_stage
-    at total exponent <= 12.
-    """
+def _sweep_sides(monkeypatch):
+    """Every (form, n) that u1_pipeline hands to search_stage at total
+    exponent <= 12, keyed by (matrix, n)."""
     sides = {}
 
     def record(form, n, enforce):
@@ -96,14 +93,41 @@ def test_criterion_matches_retired_loop(monkeypatch):
         if braid.is_knot_closure(word.raw()):
             embed.u1_pipeline(word)
     assert len(sides) == 145
+    return sides
+
+
+def test_criterion_matches_retired_loop(monkeypatch):
+    """Same matrices in the same order as the plain backtracker, on every
+    sweep side."""
     found = 0
-    for (_, n), form in sides.items():
+    for (_, n), form in _sweep_sides(monkeypatch).items():
         for change_making in (True, False):
             sols = embed.criterion_search(form, n, change_making)
             assert sols == oracles.retired_criterion_search(
                 form, n, change_making)
             found += len(sols)
     assert found == 90
+
+
+def test_row_candidates_match_retired_enumeration(monkeypatch):
+    """Same rows in the same order as the uncached enumeration, on every
+    (diag, x tail) the sweep sides reach, strict and relaxed; rows equal
+    in value are one object across keys."""
+    keys = set()
+    for matrix, n in _sweep_sides(monkeypatch):
+        r = len(matrix)
+        for change_making in (True, False):
+            for xbar in embed._x_tails(r, n - 1, change_making):
+                keys.update((-matrix[i][i], xbar) for i in range(r))
+    shared = {}
+    total = 0
+    for diag, xbar in sorted(keys):
+        rows = embed._row_candidates(diag, xbar)
+        assert rows == oracles.retired_row_candidates(diag, xbar)
+        for row in rows:
+            assert shared.setdefault(row, row) is row
+        total += len(rows)
+    assert len(shared) < total
 
 
 def test_witness_invariants():
