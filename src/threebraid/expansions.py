@@ -18,8 +18,8 @@ the solved x tail always breaks the change-making chain.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, permutations
-from operator import mul
+from itertools import chain, groupby, permutations, product
+from operator import itemgetter, mul
 
 from . import goeritz, linalg
 from .embed import change_making_ok
@@ -121,7 +121,10 @@ def goeritz_parameters(pe):
     # y = (1, 1, 0, ..., 0), so the pairing with y is -(u_0 + u_1)
     if any(u[0] + u[1] for u in cycle):
         raise ValueError("meridian row is not orthogonal to the cycle rows")
-    gram = [[-sum(map(mul, u, w)) for w in cycle] for u in cycle]
+    gram = [[0] * len(cycle) for _ in cycle]
+    for a, u in enumerate(cycle):
+        for b in range(a, len(cycle)):
+            gram[a][b] = gram[b][a] = -sum(map(mul, u, cycle[b]))
     return tuple(zip(*goeritz.goeritz_pairs(gram)))
 
 
@@ -285,18 +288,19 @@ def _expansion_steps(pe):
     supports = []
     for col in range(2, width):
         supports.append((col, [t for t in range(v_count) if rows[t][col]]))
-    for a in range(v_count):
-        for b in range(v_count):
-            if a == b or pe.pairing(a, b) < 1:
-                continue
-            for col, sup in supports:
-                if sup == [a] and rows[a][col] == 1:
-                    steps.append(ExpansionStep(1, a, b, col))
-                if len(sup) == 3 and a in sup and b in sup and rows[a][col] == 1 \
-                        and rows[b][col] == -1:
-                    c = next(t for t in sup if t not in (a, b))
-                    if rows[c][col] == 1:
-                        steps.append(ExpansionStep(3, a, b, col, c))
+    # the ordered pairs of distinct rows pairing at least 1, each pairing
+    # computed once; sorted, they come in the order of a loop over a, b
+    paired = sorted(pair for a in range(v_count) for b in range(a + 1, v_count)
+                    if pe.pairing(a, b) >= 1 for pair in ((a, b), (b, a)))
+    for a, b in paired:
+        for col, sup in supports:
+            if sup == [a] and rows[a][col] == 1:
+                steps.append(ExpansionStep(1, a, b, col))
+            if len(sup) == 3 and a in sup and b in sup and rows[a][col] == 1 \
+                    and rows[b][col] == -1:
+                c = next(t for t in sup if t not in (a, b))
+                if rows[c][col] == 1:
+                    steps.append(ExpansionStep(3, a, b, col, c))
     return steps
 
 
@@ -314,30 +318,66 @@ def _shape_key(pe):
                      sorted(zip(v[j][2:], *mid, v[i][2:]))))
 
 
+def _class_key(pe):
+    """A complete invariant of canonical_form's class, without its search.
+
+    Each middle row gets a signature that column moves keep: its sorted
+    tail and its pairings with the two marked rows, the first of the
+    orientation first.  In each orientation (i, mid..., j) and
+    (j, mid..., i) the middle rows are ordered by signature, tied rows in
+    every order, and the key is the least sorted list of tail columns.
+
+    Two members are in one class exactly when a row permutation fixing y,
+    a swap of the head columns and a permutation of the tail columns take
+    one to the other; such a move maps marked rows to marked rows.  It
+    carries each orientation of one member to an orientation of the other
+    and each middle row to a row of the same signature, so the orders
+    tried correspond, up to a permutation of the tail columns, and the
+    keys are equal.  Conversely, equal keys give two orders whose tail
+    blocks are one matrix up to a column permutation; the position of a
+    row fixes its head up to the swap, so the members are in one class.
+    """
+    v = pe.v_rows
+    i, j = pe.marked_rows()
+    mid = [(tuple(sorted(row[2:])), pe.pairing(i, t), pe.pairing(j, t),
+            row[2:]) for t, row in enumerate(v) if t not in (i, j)]
+    best = None
+    for first, last, sigs in ((i, j, mid),
+                              (j, i, [(s, q, p, row) for s, p, q, row in mid])):
+        groups = [[row for *_, row in group] for _, group
+                  in groupby(sorted(sigs), key=itemgetter(0, 1, 2))]
+        for order in product(*map(permutations, groups)):
+            key = sorted(zip(v[first][2:], *chain(*order), v[last][2:]))
+            if best is None or key < best:
+                best = key
+    return tuple(best)
+
+
 def _expand_layer(members, kinds, seeds=()):
     """Seeds, then every move of the given kinds on members, one per class.
 
-    Keyed by canonical form; the first member met in a class stays, and
-    it alone is validated, so each member kept is checked once and a
-    failure raises.
+    Returns a dict from _class_key to member, in the order first met: the
+    first member met in a class stays, and it alone is validated, so each
+    member kept is checked once and a failure raises.  _class_key and
+    canonical_form are complete invariants of the same class (row
+    permutations fixing y, the head-column swap and tail-column moves), so
+    the members kept are the ones a layer keyed by canonical_form keeps,
+    and canonical_form itself runs only on them, where it is needed.
 
-    canonical_form runs once per distinct shape key, because the shape
-    key is exact.  Members have zero heads away from the marked rows, so
-    a row order and orientation fix the head columns.  Two members with
-    equal shape keys therefore become the same matrix once each puts its
-    rows in the order that attains its key, up to a permutation of the
-    tail columns and, when the orientations differ, the swap of the head
-    columns.  Row permutations fixing y and those column moves are what
-    canonical_form quotients out, so their keys are equal, and a member
-    whose shape key was met before is in a class met before.
+    The shape key filters first, because it is exact: members with equal
+    shape keys are in one class.  Members have zero heads away from the
+    marked rows, so a row order and orientation fix the head columns, and
+    two members with equal shape keys become the same matrix once each
+    puts its rows in the order that attains its key, up to a permutation
+    of the tail columns and, when the orientations differ, the head swap.
+    So a child whose shape key was met before is skipped unkeyed.
 
     The children are grown unchecked, and a child dropped unseen loses
     nothing.  Every parent is a validated member; a move never writes
     columns 0 and 1, and the new row's head is (0, 0), so every child
-    keeps the marked heads that make the shape key exact.  A dropped
-    child thus has the shape key or canonical key of a validated member,
-    so it is that member up to row permutations fixing y and column
-    moves, and membership is invariant under those.
+    keeps the marked heads both keys rest on.  A dropped child thus has
+    the shape key or class key of a validated member, so it is that
+    member up to those moves, and membership is invariant under them.
     """
     grown = (_grow(pe, step) for pe in members
              for step in _expansion_steps(pe) if step.kind in kinds)
@@ -346,7 +386,7 @@ def _expand_layer(members, kinds, seeds=()):
         shape = _shape_key(pe)
         if shape not in shapes:
             shapes.add(shape)
-            key = canonical_form(pe)
+            key = _class_key(pe)
             if key not in layer:
                 layer[key] = _validate(pe)
     return layer
@@ -358,14 +398,17 @@ def generate_balanced(r_max):
     Breadth-first expansion by kind-1 and kind-3 moves from the three
     seeds.  Returns a dict rank -> tuple of members (one representative per
     class, in canonical-key order).  Each member returned, seeds included,
-    passed the membership check once, when its layer kept it.
+    passed the membership check once, when its layer kept it.  The layers
+    are deduplicated by _class_key; canonical_form runs once per member,
+    for the order alone, and its keys are distinct because the classes
+    are.
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     layers, layer = {}, {}
     for r in range(2, r_max + 1):
         layer = _expand_layer(layer.values(), (1, 3), _SEEDS.get(r, ()))
-        layers[r] = tuple(layer[k] for k in sorted(layer))
+        layers[r] = tuple(sorted(layer.values(), key=canonical_form))
     return layers
 
 
@@ -473,9 +516,11 @@ def _marks_ok(c, i, j, h1, chain1, h2, chain2):
 
 @lru_cache(maxsize=None)
 def _kind1_layer(r):
-    """(keys, members) of rank r grown from the rank-2 seeds by kind 1 alone.
+    """(class keys, members) of rank r grown from the rank-2 seeds by kind 1.
 
-    Each rank is generated once per process, from the rank below.
+    Each rank is generated once per process, from the rank below.  The
+    keys are _expand_layer's _class_key, one per class, so membership of a
+    class needs no canonical_form.
     """
     if r <= 2:
         layer = _expand_layer((), (1,), _SEEDS[2])
@@ -486,7 +531,7 @@ def _kind1_layer(r):
 
 def _reachable_by_kind1(pe):
     """Whether pe arises from the two rank-2 seeds by kind-1 moves alone."""
-    return canonical_form(pe) in _kind1_layer(pe.r)[0]
+    return _class_key(pe) in _kind1_layer(pe.r)[0]
 
 
 def completion_x_tail(pe):

@@ -105,15 +105,29 @@ def adjugate(m):
 def solve_int(m, rhs):
     """Solve m x = rhs over the integers; None when no integer solution.
 
-    m must be square; a singular m raises ValueError.
+    m must be square; a singular m raises ValueError.  One fraction-free
+    Gauss-Jordan elimination of [m | rhs]: after step k every entry is a
+    minor of order k + 1 of the row-swapped system, so each division is
+    exact, and at the end m has become d I and rhs d x, where d = +-det m
+    is the last pivot.
     """
-    d = _det_int(m)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    x = [sum(a * b for a, b in zip(row, rhs)) for row in adjugate(m)]
-    if any(v % d for v in x):
+    n = len(m)
+    a = [list(row) + [b] for row, b in zip(m, rhs)]
+    prev = 1
+    for k in range(n):
+        pick = next((t for t in range(k, n) if a[t][k]), None)
+        if pick is None:
+            raise ValueError("matrix is singular")
+        a[k], a[pick] = a[pick], a[k]
+        pivot, top = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], top)]
+        prev = pivot
+    if any(row[n] % prev for row in a):
         return None
-    return tuple(v // d for v in x)
+    return tuple(row[n] // prev for row in a)
 
 
 def smith_normal_form(m):

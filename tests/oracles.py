@@ -533,6 +533,12 @@ def brute_balanced(r):
     to one, meridian row (1, 1, 0, ...), and the marked-head structure
     (one row starting (1, -1), one starting (-1, 1), zeros elsewhere).
     Returns a dict permutation_canonical_form -> member.
+
+    Tail columns permute freely within a class, so only members whose
+    tail columns are in nonincreasing order, read down the rows in the
+    order they are placed, are solved for: every class has one.  Each
+    partial member keeps its tail columns nonincreasing so far, the ties
+    marking the adjacent columns still equal.
     """
     width = r + 2
     found = {}
@@ -551,7 +557,7 @@ def brute_balanced(r):
         colsum_target = [0, 0] + [1] * r
         rows = []
 
-        def rec(k, used_pos, used_neg, colsums):
+        def rec(k, used_pos, used_neg, colsums, ties):
             if k == r:
                 if used_pos and used_neg and list(colsums) == colsum_target:
                     ordered = [None] * r
@@ -578,15 +584,20 @@ def brute_balanced(r):
                                     > bound[k + 1]:
                                 bad = True
                                 break
-                    if bad:
+                    if bad or any(tie and cand[c] < cand[c + 1]
+                                  for c, tie in enumerate(ties)):
                         continue
                     rows.append(cand)
                     rec(k + 1, used_pos or head == (1, -1),
                         used_neg or head == (-1, 1),
-                        [a + b for a, b in zip(colsums, cand)])
+                        [a + b for a, b in zip(colsums, cand)],
+                        [tie and cand[c] == cand[c + 1]
+                         for c, tie in enumerate(ties)])
                     rows.pop()
 
-        rec(0, False, False, [0] * width)
+        # ties[c] for c >= 2: tail columns c and c + 1 agree so far
+        rec(0, False, False, [0] * width,
+            [False, False] + [True] * (width - 3))
     return found
 
 

@@ -151,10 +151,10 @@ def test_acceptance_5_desk_scale():
 
 
 def test_acceptance_6_partial_witnesses():
-    """Generator equals brute force at rank 5; checks pass; < 10 min."""
+    """Generator equals brute force at rank 6; checks pass; < 10 min."""
     t0 = time.time()
     layers = xp.generate_balanced(6)
-    for r in range(2, 6):
+    for r in range(2, 7):
         brute = oracles.brute_balanced(r)
         assert set(brute) == {xp.canonical_form(pe) for pe in layers[r]}, r
     for ms in layers.values():

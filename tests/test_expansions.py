@@ -223,7 +223,7 @@ def test_canonical_form_matches_pinned_oracle_at_rank_7():
 
     The expansions of the rank <= 6 members of generate_balanced(7),
     duplicates included, reach rank 7.  Equal shape keys give equal keys,
-    which is what lets _expand_layer canonicalise once per shape key.
+    which is what lets _expand_layer skip a repeated shape key unkeyed.
     """
     grown = [xp.expand(pe, step) for pe in _members(6)
              for step in xp._expansion_steps(pe)]
@@ -238,13 +238,49 @@ def test_canonical_form_matches_pinned_oracle_at_rank_7():
     assert len(set(by_shape.values())) == 126
 
 
+def test_class_key_is_complete_at_rank_7():
+    """Equal class keys exactly when equal pinned keys, on every expansion.
+
+    The 432 expansions of the rank <= 6 members of generate_balanced(7)
+    fall into 126 classes; each class key meets one pinned key and each
+    pinned key one class key.
+    """
+    grown = [xp.expand(pe, step) for pe in _members(6)
+             for step in xp._expansion_steps(pe)]
+    assert len(grown) == 432
+    pinned_of, class_of = {}, {}
+    for pe in grown:
+        key, pinned = xp._class_key(pe), oracles.pinned_canonical_form(pe)
+        assert pinned_of.setdefault(key, pinned) == pinned
+        assert class_of.setdefault(pinned, key) == key
+    assert len(pinned_of) == len(class_of) == 126
+
+
+def test_canonical_form_runs_once_per_member(monkeypatch):
+    """Layers dedupe by class key; the pinned search only orders them."""
+    calls, canonical = [], xp.canonical_form
+
+    def counting(pe):
+        calls.append(pe)
+        return canonical(pe)
+
+    monkeypatch.setattr(xp, "canonical_form", counting)
+    layers = xp.generate_balanced(7)
+    assert len(calls) == sum(map(len, layers.values())) == 129
+    assert all(xp._reachable_by_kind1(pe) for pe in xp._kind1_layer(7)[1])
+    assert len(calls) == 129
+
+
 def test_kind1_layers_match_regeneration():
-    """The shared kind-1 layers hold the keys a per-member regeneration finds."""
+    """The shared kind-1 layers hold the classes a per-member regeneration
+    finds, one member and one class key per class."""
     oracle = {r: oracles.kind1_keys(r) for r in range(2, 8)}
     for r, keys in oracle.items():
-        shared = xp._kind1_layer(r)[0]
+        shared, members = xp._kind1_layer(r)
         assert isinstance(shared, frozenset)
-        assert shared == keys, r
+        assert shared == {xp._class_key(pe) for pe in members}
+        assert len(shared) == len(members) == len(keys)
+        assert {oracles.pinned_canonical_form(pe) for pe in members} == keys, r
     assert {r: len(keys) for r, keys in oracle.items()} == \
         {2: 2, 3: 1, 4: 4, 5: 10, 6: 27, 7: 69}
     for pe in _members(7):
@@ -252,16 +288,21 @@ def test_kind1_layers_match_regeneration():
             (oracles.pinned_canonical_form(pe) in oracle[pe.r])
 
 
-@st.composite
-def relabelled_members(draw):
-    """A member up to rank 7 and a copy with its rows and columns moved."""
-    pe = draw(st.sampled_from(_members(7)))
+def _relabelled(draw, pe):
+    """pe with its cycle rows, head columns and tail columns moved."""
     order = draw(st.permutations(range(pe.r)))
     head = draw(st.sampled_from(((0, 1), (1, 0))))
     tail = draw(st.permutations(range(2, pe.r + 2)))
     cols = head + tuple(tail)
     rows = tuple(tuple(pe.v_rows[t][c] for c in cols) for t in order)
-    return pe, xp.PartialEmbedding(rows + (pe.y_row,))
+    return xp.PartialEmbedding(rows + (pe.y_row,))
+
+
+@st.composite
+def relabelled_members(draw):
+    """A member up to rank 7 and a copy with its rows and columns moved."""
+    pe = draw(st.sampled_from(_members(7)))
+    return pe, _relabelled(draw, pe)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -269,6 +310,13 @@ def relabelled_members(draw):
 def test_canonical_form_ignores_relabelling(pair):
     pe, copy = pair
     assert xp.canonical_form(copy) == xp.canonical_form(pe)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(relabelled_members())
+def test_class_key_ignores_relabelling(pair):
+    pe, copy = pair
+    assert xp._class_key(copy) == xp._class_key(pe)
 
 
 @st.composite
@@ -292,6 +340,20 @@ def marked_matrices(draw):
 def test_canonical_form_is_the_least_pinned_key(pe):
     """The pruned search finds the key of all 2 (r-2)! pinned orders."""
     assert xp.canonical_form(pe) == oracles.pinned_canonical_form(pe)
+
+
+@st.composite
+def relabelled_marked_matrices(draw):
+    pe = draw(marked_matrices())
+    return pe, _relabelled(draw, pe)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(relabelled_marked_matrices())
+def test_class_key_ignores_relabelling_of_marked_matrices(pair):
+    """Repeated rows and tied signatures included."""
+    pe, copy = pair
+    assert xp._class_key(copy) == xp._class_key(pe)
 
 
 def test_canonical_form_needs_the_marked_heads():
