@@ -392,24 +392,35 @@ def _expand_layer(members, kinds, seeds=()):
     return layer
 
 
-def generate_balanced(r_max):
-    """All balanced partial witnesses of rank 2..r_max, canonically deduped.
+def _grow_balanced(r_max):
+    """Balanced members of rank 2..r_max, one per class, in first-met order.
 
     Breadth-first expansion by kind-1 and kind-3 moves from the three
-    seeds.  Returns a dict rank -> tuple of members (one representative per
-    class, in canonical-key order).  Each member returned, seeds included,
-    passed the membership check once, when its layer kept it.  The layers
-    are deduplicated by _class_key; canonical_form runs once per member,
-    for the order alone, and its keys are distinct because the classes
-    are.
+    seeds.  Returns a dict rank -> tuple of members.  Each member
+    returned, seeds included, passed the membership check once, when its
+    layer kept it.  The layers are deduplicated by _class_key, so no
+    canonical_form runs here.
     """
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     layers, layer = {}, {}
     for r in range(2, r_max + 1):
         layer = _expand_layer(layer.values(), (1, 3), _SEEDS.get(r, ()))
-        layers[r] = tuple(sorted(layer.values(), key=canonical_form))
+        layers[r] = tuple(layer.values())
     return layers
+
+
+def generate_balanced(r_max):
+    """All balanced partial witnesses of rank 2..r_max, canonically ordered.
+
+    Returns a dict rank -> tuple of members, _grow_balanced's layers with
+    each sorted by canonical_form, whose keys are distinct because the
+    classes are.  The canonical order is for presentation only (the
+    output of b0 and the members' indices); canonical_form runs once per
+    member, for that order alone.
+    """
+    return {r: tuple(sorted(members, key=canonical_form))
+            for r, members in _grow_balanced(r_max).items()}
 
 
 def column_multiset_check(pe):
@@ -560,8 +571,13 @@ def completion_x_tail(pe):
 
 def no_orthogonal_completion(r_max):
     """True when no balanced member of rank <= r_max with orthogonal marks
-    extends to a witness."""
-    return no_orthogonal_completion_in(generate_balanced(r_max))
+    extends to a witness.
+
+    The members are visited in first-met order (_grow_balanced), not in
+    canonical order: the answer is over all of them, so the order cannot
+    change it, and no canonical_form runs.
+    """
+    return no_orthogonal_completion_in(_grow_balanced(r_max))
 
 
 def no_orthogonal_completion_in(layers):

@@ -64,8 +64,17 @@ def _det_int(m):
     return sign * a[-1][-1]
 
 
+def _require_square(m):
+    """Raise ValueError unless every row of m is as long as m."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix is not square")
+    return n
+
+
 def det(m):
-    """Exact integer determinant."""
+    """Exact integer determinant; ValueError on a non-square matrix."""
+    _require_square(m)
     return _det_int(m)
 
 
@@ -95,8 +104,11 @@ def is_negative_definite(m):
 
 
 def adjugate(m):
-    """Integer adjugate, entry (i, j) the (j, i) cofactor: adj(m) m = det(m) I."""
-    n = len(m)
+    """Integer adjugate, entry (i, j) the (j, i) cofactor: adj(m) m = det(m) I.
+
+    ValueError on a non-square matrix.
+    """
+    n = _require_square(m)
     return tuple(tuple((-1) ** (i + j) * _det_int(
         [row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j])
         for j in range(n)) for i in range(n))
@@ -105,13 +117,15 @@ def adjugate(m):
 def solve_int(m, rhs):
     """Solve m x = rhs over the integers; None when no integer solution.
 
-    m must be square; a singular m raises ValueError.  One fraction-free
-    Gauss-Jordan elimination of [m | rhs]: after step k every entry is a
-    minor of order k + 1 of the row-swapped system, so each division is
-    exact, and at the end m has become d I and rhs d x, where d = +-det m
-    is the last pivot.
+    A non-square m, a rhs whose length is not m's, or a singular m raises
+    ValueError.  One fraction-free Gauss-Jordan elimination of [m | rhs]:
+    after step k every entry is a minor of order k + 1 of the row-swapped
+    system, so each division is exact, and at the end m has become d I
+    and rhs d x, where d = +-det m is the last pivot.
     """
-    n = len(m)
+    n = _require_square(m)
+    if len(rhs) != n:
+        raise ValueError("right-hand side does not match the matrix")
     a = [list(row) + [b] for row, b in zip(m, rhs)]
     prev = 1
     for k in range(n):

@@ -269,6 +269,9 @@ def test_canonical_form_runs_once_per_member(monkeypatch):
     assert len(calls) == sum(map(len, layers.values())) == 129
     assert all(xp._reachable_by_kind1(pe) for pe in xp._kind1_layer(7)[1])
     assert len(calls) == 129
+    calls.clear()
+    assert xp.no_orthogonal_completion(7)
+    assert not calls  # the blockade needs no order
 
 
 def test_kind1_layers_match_regeneration():
@@ -483,6 +486,21 @@ def test_structure_check_precondition():
 def test_no_orthogonal_completion():
     assert xp.no_orthogonal_completion(4)
     assert xp.no_orthogonal_completion(6)
+    with pytest.raises(ValueError, match="r_max must be at least 2"):
+        xp.no_orthogonal_completion(1)
+
+
+@pytest.mark.parametrize("r_max", range(2, 8))
+def test_unordered_layers_are_the_generated_ones(r_max):
+    """The first-met layers hold the members generate_balanced orders, and
+    the blockade reads the same on either."""
+    grown, ordered = xp._grow_balanced(r_max), xp.generate_balanced(r_max)
+    assert grown.keys() == ordered.keys()
+    for r, members in grown.items():
+        assert len(members) == len(ordered[r])
+        assert {pe.rows for pe in members} == {pe.rows for pe in ordered[r]}
+    assert xp.no_orthogonal_completion(r_max) == \
+        xp.no_orthogonal_completion_in(ordered)
 
 
 def test_completion_nonvacuous():

@@ -81,6 +81,25 @@ def test_solve_int():
         linalg.solve_int(((1, 2), (2, 4)), (1, 1))
 
 
+@pytest.mark.parametrize("m", [((1, 0, 5), (0, 1, 7)), ((1, 0), (0, 1, 7)),
+                               ((1, 0), (0,))],
+                         ids=["wide", "ragged", "short-row"])
+def test_malformed_shapes_are_refused(m):
+    """A non-square or ragged matrix is a ValueError, never an answer."""
+    for call in (linalg.det, linalg.adjugate,
+                 lambda m: linalg.solve_int(m, (3, 4))):
+        with pytest.raises(ValueError, match="not square"):
+            call(m)
+
+
+def test_solve_int_refuses_a_rhs_of_the_wrong_length():
+    identity = ((1, 0), (0, 1))
+    assert linalg.solve_int(identity, (3, 4)) == (3, 4)
+    for rhs in ((3, 4, 9), (3,), ()):
+        with pytest.raises(ValueError, match="right-hand side"):
+            linalg.solve_int(identity, rhs)
+
+
 @SETTINGS
 @given(square_matrices())
 def test_adjugate_identity(m):
