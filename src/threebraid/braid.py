@@ -90,10 +90,9 @@ class AltBraidWord:
         pairs = tuple((int(a), int(b)) for a, b in pairs)
         if not pairs:
             raise ValueError("alternating word needs m >= 1")
-        m = len(pairs)
-        best = min(range(m), key=lambda s: tuple(
-            (-pairs[(s + i) % m][0], pairs[(s + i) % m][1]) for i in range(m)))
-        return cls(tuple(pairs[(best + i) % m] for i in range(m)))
+        signed = [(-a, b) for a, b in pairs]
+        best = min(range(len(pairs)), key=lambda s: signed[s:] + signed[:s])
+        return cls(pairs[best:] + pairs[:best])
 
     def to_json(self):
         return [[a, b] for a, b in self.pairs]

@@ -18,7 +18,7 @@ the solved x tail always breaks the change-making chain.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, groupby, permutations, product
+from itertools import chain, groupby, islice, permutations, product
 from operator import itemgetter, mul
 
 from . import goeritz, linalg
@@ -242,8 +242,13 @@ def expand(pe, step):
 
 
 def _grow(pe, step):
-    """expand's move with every argument check but no membership check."""
-    rows = [list(r) for r in pe.rows]
+    """expand's move with every argument check but no membership check.
+
+    The child is built from the parent's row tuples: every row gains a 0
+    in the new column, rows b and c are rebuilt, and the new row goes in
+    after the cycle rows.
+    """
+    rows = pe.rows
     width = len(rows[0])
     v_count = len(rows) - 1
     a, b, col = step.a, step.b, step.col
@@ -254,14 +259,12 @@ def _grow(pe, step):
     if pe.pairing(a, b) < 1:
         raise ValueError("rows must pair at least 1")
     support = [t for t, row in enumerate(rows) if row[col]]
-    for row in rows:
-        row.append(0)
-    new_row = [0] * (width + 1)
-    new_row[-1], new_row[col] = 1, -1
+    grown = [row + (0,) for row in rows]
     if step.kind == 1:
         if support != [a] or rows[a][col] != 1:
             raise ValueError("kind-1 column must be supported on row a with a 1")
-        rows[b][col] += 1
+        row = rows[b]
+        grown[b] = row[:col] + (row[col] + 1,) + row[col + 1:] + (0,)
     elif step.kind == 3:
         c = step.c
         if c is None or c in (a, b) or not 0 <= c < v_count:
@@ -270,62 +273,96 @@ def _grow(pe, step):
             raise ValueError("kind-3 column must be supported on rows a, b, c")
         if rows[a][col] != 1 or rows[c][col] != 1 or rows[b][col] != -1:
             raise ValueError("kind-3 column pattern is (1, 1, -1)")
-        rows[b][col] = 0
-        rows[b][-1] = -1
-        rows[c][-1] = 1
+        row = rows[b]
+        grown[b] = row[:col] + (0,) + row[col + 1:] + (-1,)
+        grown[c] = rows[c] + (1,)
     else:
         raise ValueError(f"unknown expansion kind {step.kind}")
-    rows.insert(v_count, new_row)
-    return PartialEmbedding(tuple(tuple(r) for r in rows))
+    new_row = [0] * (width + 1)
+    new_row[-1], new_row[col] = 1, -1
+    grown.insert(v_count, tuple(new_row))
+    return PartialEmbedding(tuple(grown))
 
 
 def _expansion_steps(pe):
-    """Every kind-1 and kind-3 move applicable to a partial witness."""
-    rows = pe.rows
-    v_count = pe.r
-    width = len(rows[0])
-    steps = []
-    supports = []
-    for col in range(2, width):
-        supports.append((col, [t for t in range(v_count) if rows[t][col]]))
-    # the ordered pairs of distinct rows pairing at least 1, each pairing
-    # computed once; sorted, they come in the order of a loop over a, b
-    paired = sorted(pair for a in range(v_count) for b in range(a + 1, v_count)
-                    if pe.pairing(a, b) >= 1 for pair in ((a, b), (b, a)))
-    for a, b in paired:
-        for col, sup in supports:
-            if sup == [a] and rows[a][col] == 1:
-                steps.append(ExpansionStep(1, a, b, col))
-            if len(sup) == 3 and a in sup and b in sup and rows[a][col] == 1 \
-                    and rows[b][col] == -1:
-                c = next(t for t in sup if t not in (a, b))
-                if rows[c][col] == 1:
-                    steps.append(ExpansionStep(3, a, b, col, c))
-    return steps
+    """Every kind-1 and kind-3 move applicable to a partial witness.
 
-
-def _shape_key(pe):
-    """Sorted tail columns, middle rows sorted, of the least orientation.
-
-    The middle rows are put in sorted order between the marked rows, in
-    both orientations (i, mid..., j) and (j, mid..., i), and the smaller
-    of the two sorted lists of tail columns is the key.
+    Read column by column: a column of the cycle rows supported on row a
+    alone, with entry 1, splits by kind 1 towards each row b pairing with
+    a at least 1; a column with entries 1 on rows a and c and -1 on row b
+    splits by kind 3 for each of a and c pairing with b at least 1.  The
+    moves come sorted by (a, b, col), which no two share.
     """
-    v = pe.v_rows
-    i, j = pe.marked_rows()
-    mid = sorted(row[2:] for t, row in enumerate(v) if t not in (i, j))
-    return tuple(min(sorted(zip(v[i][2:], *mid, v[j][2:])),
-                     sorted(zip(v[j][2:], *mid, v[i][2:]))))
+    rows = pe.v_rows
+    v_count = len(rows)
+    # partners[a]: the rows pairing with row a at least 1
+    partners = [set() for _ in rows]
+    for a in range(v_count):
+        for b in range(a + 1, v_count):
+            if sum(map(mul, rows[a], rows[b])) <= -1:
+                partners[a].add(b)
+                partners[b].add(a)
+    moves = []
+    for col, column in enumerate(list(zip(*rows))[2:], 2):
+        support = [t for t, x in enumerate(column) if x]
+        if len(support) == 1:
+            a = support[0]
+            if column[a] == 1:
+                moves += [(a, b, col, 1, None) for b in partners[a]]
+        elif len(support) == 3:
+            for b in support:
+                if column[b] == -1:
+                    a, c = [t for t in support if t != b]
+                    if column[a] == column[c] == 1:
+                        moves += [(s, b, col, 3, t) for s, t in ((a, c), (c, a))
+                                  if b in partners[s]]
+    return [ExpansionStep(kind, a, b, col, c)
+            for a, b, col, kind, c in sorted(moves)]
 
 
-def _class_key(pe):
-    """A complete invariant of canonical_form's class, without its search.
+def _orientations(pe, marks=None):
+    """Both orientations of pe's cycle rows, middle rows by signature.
 
     Each middle row gets a signature that column moves keep: its sorted
     tail and its pairings with the two marked rows, the first of the
-    orientation first.  In each orientation (i, mid..., j) and
-    (j, mid..., i) the middle rows are ordered by signature, tied rows in
-    every order, and the key is the least sorted list of tail columns.
+    orientation first.  For each orientation (i, mid..., j) and
+    (j, mid..., i) this returns the first and last tails, the middle
+    rows' (signature..., tail) in sorted order, and the key of that order:
+    the sorted list of tail columns.  The middle rows have head (0, 0),
+    so their pairings are read off the tails.  marks, when given, are
+    pe.marked_rows(), which is then not read again.
+    """
+    v = pe.v_rows
+    i, j = pe.marked_rows() if marks is None else marks
+    first, last = v[i][2:], v[j][2:]
+    mid = []
+    for t, row in enumerate(v):
+        if t != i and t != j:
+            tail = row[2:]
+            mid.append((sorted(tail), -sum(map(mul, first, tail)),
+                        -sum(map(mul, last, tail)), tail))
+    sigs = sorted(mid)
+    flipped = sorted([(s, q, p, tail) for s, p, q, tail in mid])
+    return [(first, last, sigs,
+             sorted(zip(first, *[sig[3] for sig in sigs], last))),
+            (last, first, flipped,
+             sorted(zip(last, *[sig[3] for sig in flipped], first)))]
+
+
+def _shape_key(orients):
+    """The lesser key of the two signature orders (_orientations)."""
+    return tuple(min(orients[0][3], orients[1][3]))
+
+
+def _class_key(orients):
+    """A complete invariant of canonical_form's class, without its search.
+
+    In each orientation of _orientations the middle rows are ordered by
+    signature, tied rows in every order, and the key is the least sorted
+    list of tail columns.  The first order tried in each orientation is
+    its signature order, whose key _orientations already holds, so an
+    orientation without a tie builds no key here.  orients are
+    _orientations of the member keyed.
 
     Two members are in one class exactly when a row permutation fixing y,
     a swap of the head columns and a permutation of the tail columns take
@@ -337,20 +374,29 @@ def _class_key(pe):
     blocks are one matrix up to a column permutation; the position of a
     row fixes its head up to the swap, so the members are in one class.
     """
-    v = pe.v_rows
-    i, j = pe.marked_rows()
-    mid = [(tuple(sorted(row[2:])), pe.pairing(i, t), pe.pairing(j, t),
-            row[2:]) for t, row in enumerate(v) if t not in (i, j)]
-    best = None
-    for first, last, sigs in ((i, j, mid),
-                              (j, i, [(s, q, p, row) for s, p, q, row in mid])):
-        groups = [[row for *_, row in group] for _, group
-                  in groupby(sorted(sigs), key=itemgetter(0, 1, 2))]
-        for order in product(*map(permutations, groups)):
-            key = sorted(zip(v[first][2:], *chain(*order), v[last][2:]))
-            if best is None or key < best:
-                best = key
-    return tuple(best)
+    keys = []
+    for first, last, sigs, key in orients:
+        groups = [[tail for *_, tail in group] for _, group
+                  in groupby(sigs, key=itemgetter(0, 1, 2))]
+        orders = islice(product(*map(permutations, groups)), 1, None)
+        keys.append(key)
+        keys += [sorted(zip(first, *chain(*order), last)) for order in orders]
+    return tuple(min(keys))
+
+
+def _children(members, kinds, seeds):
+    """(seed, its marks), then (child, its parent's marks) for each move.
+
+    A move never writes columns 0 and 1 and puts its new row, head (0, 0),
+    after the cycle rows, so a child's marked rows are its parent's.
+    """
+    for pe in seeds:
+        yield pe, pe.marked_rows()
+    for pe in members:
+        marks = pe.marked_rows()
+        for step in _expansion_steps(pe):
+            if step.kind in kinds:
+                yield _grow(pe, step), marks
 
 
 def _expand_layer(members, kinds, seeds=()):
@@ -370,7 +416,9 @@ def _expand_layer(members, kinds, seeds=()):
     two members with equal shape keys become the same matrix once each
     puts its rows in the order that attains its key, up to a permutation
     of the tail columns and, when the orientations differ, the head swap.
-    So a child whose shape key was met before is skipped unkeyed.
+    So a child whose shape key was met before is skipped unkeyed, and the
+    tie orders of the class key are tried only on a new shape key.  Both
+    keys come from one signature pass (_orientations) per child.
 
     The children are grown unchecked, and a child dropped unseen loses
     nothing.  Every parent is a validated member; a move never writes
@@ -379,14 +427,13 @@ def _expand_layer(members, kinds, seeds=()):
     the shape key or class key of a validated member, so it is that
     member up to those moves, and membership is invariant under them.
     """
-    grown = (_grow(pe, step) for pe in members
-             for step in _expansion_steps(pe) if step.kind in kinds)
     layer, shapes = {}, set()
-    for pe in chain(seeds, grown):
-        shape = _shape_key(pe)
+    for pe, marks in _children(members, kinds, seeds):
+        orients = _orientations(pe, marks)
+        shape = _shape_key(orients)
         if shape not in shapes:
             shapes.add(shape)
-            key = _class_key(pe)
+            key = _class_key(orients)
             if key not in layer:
                 layer[key] = _validate(pe)
     return layer
@@ -498,12 +545,12 @@ def _block_candidates(pe):
 def orthogonal_marked_structure(pe):
     """Exhibit the staircase block form of a member with orthogonal marks.
 
-    Raises ValueError unless the marked rows pair to 0; raises
-    TheoremViolation if no row/column reordering realizes the block form
-    or the member is not reachable from the two small seeds by kind-1
-    moves alone.
+    Raises ValueError unless pe is a member (the checks of expand) whose
+    marked rows pair to 0; raises TheoremViolation if no row/column
+    reordering realizes the block form or the member is not reachable
+    from the two small seeds by kind-1 moves alone.
     """
-    i, j = pe.marked_rows()
+    i, j = _validate(pe).marked_rows()
     if pe.pairing(i, j) != 0:
         raise ValueError("marked rows must pair to 0")
     found = next(_block_candidates(pe), None)
@@ -542,7 +589,7 @@ def _kind1_layer(r):
 
 def _reachable_by_kind1(pe):
     """Whether pe arises from the two rank-2 seeds by kind-1 moves alone."""
-    return _class_key(pe) in _kind1_layer(pe.r)[0]
+    return _class_key(_orientations(pe)) in _kind1_layer(pe.r)[0]
 
 
 def completion_x_tail(pe):

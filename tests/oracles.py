@@ -38,14 +38,23 @@ and per-entry checks, is the retired form of
 `goeritz.goeritz_pairs`.  `retired_canonical_tag`, which moves a marked
 crossing through the swap and the mirror crossing by crossing, is the
 retired form of `braid.canonical_tag`, now a dihedral action on the
-block exponents.
+block exponents.  `retired_grow`, which builds each child from lists,
+`retired_expansion_steps`, which reads the moves pair of rows by pair,
+`retired_shape_key`, which sorts the middle rows by their tails, and
+`retired_class_key`, which reads the marks and the pairings again for
+every key, are the retired forms of `expansions._grow`,
+`expansions._expansion_steps`, `expansions._shape_key` and
+`expansions._class_key`, now built from the parent's row tuples, column
+by column, and on one signature pass per child.  `retired_alt_canonical`,
+which rebuilds every rotation by modular indexing, is the retired form
+of `braid.AltBraidWord.canonical`.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, groupby, permutations, product
 from math import isqrt
-from operator import mul
+from operator import itemgetter, mul
 
 from threebraid import expansions as xp
 from threebraid import embed, forms, linalg
@@ -826,3 +835,116 @@ def _tag_key(tag):
 def retired_canonical_tag(tag):
     """Least representative of a tagged diagram under swap/mirror/rotation."""
     return min(_diagram_orbit(tag), key=_tag_key)
+
+
+def retired_grow(pe, step):
+    """expand's move with every argument check but no membership check."""
+    rows = [list(r) for r in pe.rows]
+    width = len(rows[0])
+    v_count = len(rows) - 1
+    a, b, col = step.a, step.b, step.col
+    if not (0 <= a < v_count and 0 <= b < v_count and a != b):
+        raise ValueError("row roles out of range")
+    if col < 2:
+        raise ValueError("the first two columns never split")
+    if pe.pairing(a, b) < 1:
+        raise ValueError("rows must pair at least 1")
+    support = [t for t, row in enumerate(rows) if row[col]]
+    for row in rows:
+        row.append(0)
+    new_row = [0] * (width + 1)
+    new_row[-1], new_row[col] = 1, -1
+    if step.kind == 1:
+        if support != [a] or rows[a][col] != 1:
+            raise ValueError("kind-1 column must be supported on row a with a 1")
+        rows[b][col] += 1
+    elif step.kind == 3:
+        c = step.c
+        if c is None or c in (a, b) or not 0 <= c < v_count:
+            raise ValueError("kind 3 needs a distinct third row")
+        if sorted(support) != sorted((a, b, c)):
+            raise ValueError("kind-3 column must be supported on rows a, b, c")
+        if rows[a][col] != 1 or rows[c][col] != 1 or rows[b][col] != -1:
+            raise ValueError("kind-3 column pattern is (1, 1, -1)")
+        rows[b][col] = 0
+        rows[b][-1] = -1
+        rows[c][-1] = 1
+    else:
+        raise ValueError(f"unknown expansion kind {step.kind}")
+    rows.insert(v_count, new_row)
+    return xp.PartialEmbedding(tuple(tuple(r) for r in rows))
+
+
+def retired_expansion_steps(pe):
+    """Every kind-1 and kind-3 move applicable to a partial witness."""
+    rows = pe.rows
+    v_count = pe.r
+    width = len(rows[0])
+    steps = []
+    supports = []
+    for col in range(2, width):
+        supports.append((col, [t for t in range(v_count) if rows[t][col]]))
+    # the ordered pairs of distinct rows pairing at least 1, each pairing
+    # computed once; sorted, they come in the order of a loop over a, b
+    paired = sorted(pair for a in range(v_count) for b in range(a + 1, v_count)
+                    if pe.pairing(a, b) >= 1 for pair in ((a, b), (b, a)))
+    for a, b in paired:
+        for col, sup in supports:
+            if sup == [a] and rows[a][col] == 1:
+                steps.append(xp.ExpansionStep(1, a, b, col))
+            if len(sup) == 3 and a in sup and b in sup and rows[a][col] == 1 \
+                    and rows[b][col] == -1:
+                c = next(t for t in sup if t not in (a, b))
+                if rows[c][col] == 1:
+                    steps.append(xp.ExpansionStep(3, a, b, col, c))
+    return steps
+
+
+def retired_shape_key(pe):
+    """Sorted tail columns, middle rows sorted, of the least orientation.
+
+    The middle rows are put in sorted order between the marked rows, in
+    both orientations (i, mid..., j) and (j, mid..., i), and the smaller
+    of the two sorted lists of tail columns is the key.
+    """
+    v = pe.v_rows
+    i, j = pe.marked_rows()
+    mid = sorted(row[2:] for t, row in enumerate(v) if t not in (i, j))
+    return tuple(min(sorted(zip(v[i][2:], *mid, v[j][2:])),
+                     sorted(zip(v[j][2:], *mid, v[i][2:]))))
+
+
+def retired_class_key(pe):
+    """A complete invariant of canonical_form's class, without its search.
+
+    Each middle row gets a signature that column moves keep: its sorted
+    tail and its pairings with the two marked rows, the first of the
+    orientation first.  In each orientation (i, mid..., j) and
+    (j, mid..., i) the middle rows are ordered by signature, tied rows in
+    every order, and the key is the least sorted list of tail columns.
+    """
+    v = pe.v_rows
+    i, j = pe.marked_rows()
+    mid = [(tuple(sorted(row[2:])), pe.pairing(i, t), pe.pairing(j, t),
+            row[2:]) for t, row in enumerate(v) if t not in (i, j)]
+    best = None
+    for first, last, sigs in ((i, j, mid),
+                              (j, i, [(s, q, p, row) for s, p, q, row in mid])):
+        groups = [[row for *_, row in group] for _, group
+                  in groupby(sorted(sigs), key=itemgetter(0, 1, 2))]
+        for order in product(*map(permutations, groups)):
+            key = sorted(zip(v[first][2:], *chain(*order), v[last][2:]))
+            if best is None or key < best:
+                best = key
+    return tuple(best)
+
+
+def retired_alt_canonical(pairs):
+    """The rotation whose signed exponent sequence (-a1, b1, ...) is least."""
+    pairs = tuple((int(a), int(b)) for a, b in pairs)
+    if not pairs:
+        raise ValueError("alternating word needs m >= 1")
+    m = len(pairs)
+    best = min(range(m), key=lambda s: tuple(
+        (-pairs[(s + i) % m][0], pairs[(s + i) % m][1]) for i in range(m)))
+    return AltBraidWord(tuple(pairs[(best + i) % m] for i in range(m)))

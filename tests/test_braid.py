@@ -1,6 +1,7 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from threebraid import braid
 from threebraid.braid import (AltBraidWord, BraidSyntaxError, CrossingRef,
@@ -45,6 +46,34 @@ def test_alt_canonical_examples():
     assert braid.alt_canonical(
         braid.parse_braid_word("s1^-3 s2^2 s1^-2 s2^3")).pairs == ((3, 2), (2, 3))
     assert braid.alt_canonical(braid.parse_braid_word("s1 s2")) is None
+
+
+def test_canonical_rotation_matches_the_retired_rotation():
+    """Every sequence of pairs of total exponent <= 14."""
+    seen = 0
+    for total in range(2, 15):
+        for parts in oracles.compositions(total):
+            if len(parts) % 2 == 0:
+                pairs = tuple(zip(parts[::2], parts[1::2]))
+                assert AltBraidWord.canonical(pairs) == \
+                    oracles.retired_alt_canonical(pairs)
+                seen += 1
+    assert seen == 8191
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-2, 3), st.integers(-2, 3)),
+                max_size=6))
+def test_canonical_rotation_refuses_as_the_retired_rotation(pairs):
+    """The same word, or the same refusal, on any small integer pairs."""
+    def outcome(canonical):
+        try:
+            return canonical(pairs)
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(AltBraidWord.canonical) == \
+        outcome(oracles.retired_alt_canonical)
 
 
 def test_alt_canonical_rotation_invariance():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -241,3 +245,16 @@ def test_enumerate_refuses_bound_below_two(capsys, monkeypatch, bound):
     monkeypatch.setattr(cli.braid, "alt_words", no_words)
     code, out, err = run_cli(capsys, "enumerate", "--bound", bound)
     assert code == 2 and out == "" and "--bound" in err
+
+
+def test_python_m_threebraid(capsys):
+    """python -m threebraid runs the CLI, with the output of cli.run."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "threebraid", "b0",
+                           "--rmax", "3"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    code, out, _ = run_cli(capsys, "b0", "--rmax", "3")
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+    assert "r = 3: 2 member(s)" in out

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,19 +224,104 @@ def test_canonical_form_matches_pinned_oracle_at_rank_7():
 
     The expansions of the rank <= 6 members of generate_balanced(7),
     duplicates included, reach rank 7.  Equal shape keys give equal keys,
-    which is what lets _expand_layer skip a repeated shape key unkeyed.
+    which is what lets _expand_layer skip a repeated shape key unkeyed;
+    so do equal retired shape keys, which sort the middle rows by tail
+    alone and so part the expansions more finely.
     """
     grown = [xp.expand(pe, step) for pe in _members(6)
              for step in xp._expansion_steps(pe)]
     assert len(grown) == 432
     assert max(pe.r for pe in grown) == 7
-    by_shape = {}
+    by_shape, by_retired_shape = {}, {}
     for pe in grown:
         key = xp.canonical_form(pe)
         assert key == oracles.pinned_canonical_form(pe)
-        assert by_shape.setdefault(xp._shape_key(pe), key) == key
-    assert len(by_shape) == 247
+        assert by_shape.setdefault(xp._shape_key(xp._orientations(pe)),
+                                   key) == key
+        assert by_retired_shape.setdefault(oracles.retired_shape_key(pe),
+                                           key) == key
+    assert len(by_retired_shape) == 247
+    assert len(by_shape) == 187
     assert len(set(by_shape.values())) == 126
+
+
+def _children_of_members():
+    """(child, parent) for every move on every member of rank <= 7."""
+    return [(xp._grow(pe, step), pe) for pe in _members(7)
+            for step in xp._expansion_steps(pe)]
+
+
+def test_class_key_matches_the_retired_key():
+    """The retired class key on every child of rank <= 8, read with the
+    parent's marks as _expand_layer reads it (the child's own give the
+    same orientations); and equal shape keys give equal class keys."""
+    children = _children_of_members()
+    assert len(children) == 1210
+    by_shape = {}
+    for child, parent in children:
+        key = oracles.retired_class_key(child)
+        assert child.marked_rows() == parent.marked_rows()
+        orients = xp._orientations(child, parent.marked_rows())
+        assert orients == xp._orientations(child)
+        assert xp._class_key(orients) == key
+        assert by_shape.setdefault(xp._shape_key(orients), key) == key
+    assert len(by_shape) == 579
+    assert len(set(by_shape.values())) == 316
+
+
+def test_grow_matches_the_retired_move():
+    """Identical rows on every move of every member of rank <= 7."""
+    moves = [(pe, step) for pe in (xp.SEED_M1, xp.SEED_M2, xp.SEED_M3)
+             + _members(7) for step in xp._expansion_steps(pe)]
+    assert {step.kind for _, step in moves} == {1, 3}
+    for pe, step in moves:
+        assert xp._grow(pe, step).rows == oracles.retired_grow(pe, step).rows
+
+
+def _grown_or_refused(grow, pe, step):
+    """The child's rows, the ValueError's message, or IndexError (whose
+    message names the container)."""
+    try:
+        return grow(pe, step).rows
+    except ValueError as exc:
+        return str(exc)
+    except IndexError:
+        return IndexError
+
+
+def test_grow_refuses_as_the_retired_move():
+    """The same child or the same refusal on every step, valid or not, with
+    roles and column one out of range on each side, on members of rank
+    <= 4."""
+    refused = 0
+    for pe in _members(4):
+        roles = range(-1, pe.r + 1)
+        for kind, a, b, col in product((0, 1, 2, 3), roles, roles,
+                                       range(-1, pe.r + 3)):
+            for c in (None,) + tuple(roles) if kind == 3 else (None,):
+                step = xp.ExpansionStep(kind, a, b, col, c)
+                got = _grown_or_refused(xp._grow, pe, step)
+                assert got == _grown_or_refused(oracles.retired_grow, pe, step)
+                refused += isinstance(got, str) or got is IndexError
+    assert refused > 0
+
+
+def test_expansion_steps_match_the_retired_reader():
+    """The same moves in the same order, on every member of rank <= 8 and
+    every child of rank <= 8."""
+    children = tuple(child for child, _ in _children_of_members())
+    for pe in _members(8) + children:
+        assert xp._expansion_steps(pe) == oracles.retired_expansion_steps(pe)
+
+
+def test_first_met_representatives_are_pinned():
+    """The rows of _grow_balanced(8), in first-met order, hash as they
+    always have: the representatives generate_balanced sorts."""
+    layers = xp._grow_balanced(8)
+    rows = [[list(row) for row in pe.rows]
+            for r in sorted(layers) for pe in layers[r]]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == \
+        "1b150295c54cf22e456633a6903b90596abd304fb82e3fd2463f5ba2074fd1d0"
 
 
 def test_class_key_is_complete_at_rank_7():
@@ -250,7 +336,8 @@ def test_class_key_is_complete_at_rank_7():
     assert len(grown) == 432
     pinned_of, class_of = {}, {}
     for pe in grown:
-        key, pinned = xp._class_key(pe), oracles.pinned_canonical_form(pe)
+        key = xp._class_key(xp._orientations(pe))
+        pinned = oracles.pinned_canonical_form(pe)
         assert pinned_of.setdefault(key, pinned) == pinned
         assert class_of.setdefault(pinned, key) == key
     assert len(pinned_of) == len(class_of) == 126
@@ -281,7 +368,8 @@ def test_kind1_layers_match_regeneration():
     for r, keys in oracle.items():
         shared, members = xp._kind1_layer(r)
         assert isinstance(shared, frozenset)
-        assert shared == {xp._class_key(pe) for pe in members}
+        assert shared == {xp._class_key(xp._orientations(pe))
+                      for pe in members}
         assert len(shared) == len(members) == len(keys)
         assert {oracles.pinned_canonical_form(pe) for pe in members} == keys, r
     assert {r: len(keys) for r, keys in oracle.items()} == \
@@ -319,7 +407,8 @@ def test_canonical_form_ignores_relabelling(pair):
 @given(relabelled_members())
 def test_class_key_ignores_relabelling(pair):
     pe, copy = pair
-    assert xp._class_key(copy) == xp._class_key(pe)
+    assert xp._class_key(xp._orientations(copy)) == \
+        xp._class_key(xp._orientations(pe))
 
 
 @st.composite
@@ -356,7 +445,21 @@ def relabelled_marked_matrices(draw):
 def test_class_key_ignores_relabelling_of_marked_matrices(pair):
     """Repeated rows and tied signatures included."""
     pe, copy = pair
-    assert xp._class_key(copy) == xp._class_key(pe)
+    assert xp._class_key(xp._orientations(copy)) == \
+        xp._class_key(xp._orientations(pe))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(marked_matrices())
+def test_class_key_agrees_with_the_retired_key(pe):
+    """Repeated rows and tied signatures included."""
+    assert xp._class_key(xp._orientations(pe)) == oracles.retired_class_key(pe)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(marked_matrices())
+def test_expansion_steps_agree_with_the_retired_reader(pe):
+    assert xp._expansion_steps(pe) == oracles.retired_expansion_steps(pe)
 
 
 def test_canonical_form_needs_the_marked_heads():
@@ -481,6 +584,17 @@ def test_structure_check_all_orthogonal():
 def test_structure_check_precondition():
     with pytest.raises(ValueError):
         xp.orthogonal_marked_structure(xp.SEED_M3)
+
+
+def test_structure_check_refuses_a_non_member():
+    """Orthogonal marks on a matrix whose Gram is no Goeritz form: the
+    membership refusal, not a theorem failure."""
+    pe = xp.PartialEmbedding(((1, -1, 1, 1, 0), (-1, 1, 1, 1, 0),
+                              (0, 0, -1, -1, 1), (1, 1, 0, 0, 0)))
+    assert pe.pairing(*pe.marked_rows()) == 0
+    message = "not the Goeritz matrix of an alternating 3-braid"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        xp.orthogonal_marked_structure(pe)
 
 
 def test_no_orthogonal_completion():
