@@ -258,6 +258,8 @@ def _grow(pe, step):
         raise ValueError("the first two columns never split")
     if pe.pairing(a, b) < 1:
         raise ValueError("rows must pair at least 1")
+    if col >= width:
+        raise ValueError(f"column {col} is beyond the matrix")
     support = [t for t, row in enumerate(rows) if row[col]]
     grown = [row + (0,) for row in rows]
     if step.kind == 1:
@@ -599,9 +601,10 @@ def completion_x_tail(pe):
     with the head entries living on the meridian columns; given
     det(C) = +-1 the tail is the unique solution of C xbar = -z for each
     of the two allowed head sign patterns.  Returns the first solved tail
-    whose sorted absolute values obey change-making, else None.
+    whose sorted absolute values obey change-making, else None.  A
+    non-member is refused with the ValueError of expand.
     """
-    c = pe.c_block()
+    c = _validate(pe).c_block()
     if abs(linalg.det(c)) != 1:
         return None
     z = tuple(row[0] for row in pe.v_rows)
@@ -632,7 +635,8 @@ def no_orthogonal_completion_in(layers):
     witness.
 
     Checked by solving for the x tail directly on every member,
-    independently of the staircase algebra.
+    independently of the staircase algebra; completion_x_tail refuses a
+    non-member.
     """
     for members in layers.values():
         for pe in members:

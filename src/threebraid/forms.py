@@ -10,7 +10,9 @@ there is no floating point in this module.
 The correction-term convention is that of d_table_sharp, which also
 gives the unknot's table from the twist knot forms: label 0 carries +1/2
 when the determinant is 3 mod 4.  Only differences of tables enter the
-symmetry test, so the overall sign convention cancels there.
+symmetry test, so the overall sign convention cancels there.  The test
+is decided on the integer quarters 4D*d of the tables (DTable.quarters);
+Fractions remain only in the DTable values that are printed.
 """
 
 from dataclasses import dataclass
@@ -134,6 +136,13 @@ class DTable:
     def __getitem__(self, i):
         return self.values[i % self.determinant]
 
+    @property
+    def quarters(self):
+        """The integers 4*D*v, by label: the values scaled to integers."""
+        scale = 4 * self.determinant
+        return tuple(v.numerator * (scale // v.denominator)
+                     for v in self.values)
+
     def to_json(self):
         return {"determinant": self.determinant,
                 "values": {str(i): str(v) for i, v in enumerate(self.values)}}
@@ -225,16 +234,25 @@ def halfint_symmetry_test(table, unknot):
     D = unknot.determinant
     if table.determinant != D:
         raise ValueError("table determinant mismatch")
+    return _symmetric(table.quarters, unknot.quarters, D)
+
+
+def _symmetric(q, u, D):
+    """halfint_symmetry_test on the quarters q, u of the two tables.
+
+    Scaling both tables by 4D scales every difference by 4D, so comparing
+    differences of quarters gives exactly the answer on the values.
+    """
     n = (D + 1) // 2
     k = n // 2
     idxs = list(range(1, k + 1))
     if n % 2 == 1:
         idxs.append(0)
-    for u in range(1, D):
-        if gcd(u, D) != 1:
+    for unit in range(1, D):
+        if gcd(unit, D) != 1:
             continue
-        if all(table[u * i] - unknot[i]
-               == table[u * (2 * k - i)] - unknot[2 * k - i] for i in idxs):
+        if all(q[unit * i % D] - u[i]
+               == q[unit * (2 * k - i) % D] - u[2 * k - i] for i in idxs):
             return True
     return False
 
@@ -243,14 +261,15 @@ def symmetry_sides(m):
     """The symmetry test on both orientations of the sharp table of m.
 
     Returns {"table": bool, "negated": bool}; the caller picks the side.
-    Both sides are tested against one unknot table.
+    Both sides are tested against one unknot table, the negated one on
+    the negated quarters.
     """
     table = d_table_sharp(m)
     d = table.determinant
-    negated = DTable(d, tuple(-v for v in table.values))
     unknot = d_table_halfint_unknot(d)
-    return {"table": halfint_symmetry_test(table, unknot),
-            "negated": halfint_symmetry_test(negated, unknot)}
+    q, u = table.quarters, unknot.quarters
+    return {"table": _symmetric(q, u, d),
+            "negated": _symmetric([-x for x in q], u, d)}
 
 
 def one_vector_coverage(a, m):

@@ -89,12 +89,15 @@ def goeritz_pairs(matrix):
     first to its least positively paired row; block l starts at the l-th
     hub row (diagonal below -2) of the walk.  The pairs are returned only
     when goeritz_3braid's rule rebuilds the matrix exactly in the walk's
-    row order, else ValueError; r = 1 is refused, as it has no cycle.
+    row order, else ValueError; r = 1 is refused, as it has no cycle, and
+    so is a ragged or non-square matrix.
 
     >>> goeritz_pairs(((-2, 1, 1), (1, -6, 1), (1, 1, -3)))
     ((4, 1), (1, 2))
     """
     r = len(matrix)
+    if any(len(row) != r for row in matrix):
+        raise ValueError("matrix is not square")
     if r < 2:
         raise ValueError("need r >= 2")
     order = [0]

@@ -47,13 +47,16 @@ every key, are the retired forms of `expansions._grow`,
 `expansions._class_key`, now built from the parent's row tuples, column
 by column, and on one signature pass per child.  `retired_alt_canonical`,
 which rebuilds every rotation by modular indexing, is the retired form
-of `braid.AltBraidWord.canonical`.
+of `braid.AltBraidWord.canonical`.  `retired_halfint_symmetry_test`, in
+Fraction arithmetic, and `retired_symmetry_sides`, which builds and tests
+a negated DTable, are the retired forms of `forms.halfint_symmetry_test`
+and `forms.symmetry_sides`, now decided on the integer quarters 4D*d.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, groupby, permutations, product
-from math import isqrt
+from math import gcd, isqrt
 from operator import itemgetter, mul
 
 from threebraid import expansions as xp
@@ -948,3 +951,44 @@ def retired_alt_canonical(pairs):
     best = min(range(m), key=lambda s: tuple(
         (-pairs[(s + i) % m][0], pairs[(s + i) % m][1]) for i in range(m)))
     return AltBraidWord(tuple(pairs[(best + i) % m] for i in range(m)))
+
+
+def retired_halfint_symmetry_test(table, unknot):
+    """Correction-term symmetry test against the unknot table.
+
+    `unknot` is d_table_halfint_unknot(D) for the table's determinant D.
+    True iff some unit relabelling i -> u*i of the candidate table makes
+    the differences against the unknot table symmetric about k, where
+    D = 2n - 1 and n = 2k or 2k + 1; label 0 joins the checks only for odd
+    n.  Quantifying over units keeps the obstruction conservative: a False
+    here is certain.
+    """
+    D = unknot.determinant
+    if table.determinant != D:
+        raise ValueError("table determinant mismatch")
+    n = (D + 1) // 2
+    k = n // 2
+    idxs = list(range(1, k + 1))
+    if n % 2 == 1:
+        idxs.append(0)
+    for u in range(1, D):
+        if gcd(u, D) != 1:
+            continue
+        if all(table[u * i] - unknot[i]
+               == table[u * (2 * k - i)] - unknot[2 * k - i] for i in idxs):
+            return True
+    return False
+
+
+def retired_symmetry_sides(m):
+    """The symmetry test on both orientations of the sharp table of m.
+
+    Returns {"table": bool, "negated": bool}; the caller picks the side.
+    Both sides are tested against one unknot table.
+    """
+    table = forms.d_table_sharp(m)
+    d = table.determinant
+    negated = forms.DTable(d, tuple(-v for v in table.values))
+    unknot = forms.d_table_halfint_unknot(d)
+    return {"table": retired_halfint_symmetry_test(table, unknot),
+            "negated": retired_halfint_symmetry_test(negated, unknot)}

@@ -292,8 +292,9 @@ def _grown_or_refused(grow, pe, step):
 def test_grow_refuses_as_the_retired_move():
     """The same child or the same refusal on every step, valid or not, with
     roles and column one out of range on each side, on members of rank
-    <= 4."""
-    refused = 0
+    <= 4.  Where the retired move raised IndexError (a column beyond the
+    matrix), the move refuses with a ValueError: both refuse."""
+    refused = beyond = 0
     for pe in _members(4):
         roles = range(-1, pe.r + 1)
         for kind, a, b, col in product((0, 1, 2, 3), roles, roles,
@@ -301,9 +302,14 @@ def test_grow_refuses_as_the_retired_move():
             for c in (None,) + tuple(roles) if kind == 3 else (None,):
                 step = xp.ExpansionStep(kind, a, b, col, c)
                 got = _grown_or_refused(xp._grow, pe, step)
-                assert got == _grown_or_refused(oracles.retired_grow, pe, step)
-                refused += isinstance(got, str) or got is IndexError
-    assert refused > 0
+                want = _grown_or_refused(oracles.retired_grow, pe, step)
+                if want is IndexError:
+                    assert got == f"column {col} is beyond the matrix"
+                    beyond += 1
+                else:
+                    assert got == want
+                refused += isinstance(got, str)
+    assert refused > beyond > 0
 
 
 def test_expansion_steps_match_the_retired_reader():
@@ -508,7 +514,8 @@ def test_expand_rejections():
            (xp.ExpansionStep(1, step.a, step.b, 1), "never split"),
            (xp.ExpansionStep(3, step.a, step.b, step.col), "third row"),
            (xp.ExpansionStep(2, step.a, step.b, step.col),
-            "unknown expansion kind")]
+            "unknown expansion kind"),
+           (xp.ExpansionStep(1, 0, 1, 9), "column 9 is beyond the matrix")]
     for move, message in bad:
         with pytest.raises(ValueError, match=message):
             xp.expand(m2, move)
@@ -586,15 +593,33 @@ def test_structure_check_precondition():
         xp.orthogonal_marked_structure(xp.SEED_M3)
 
 
+# marked heads and orthogonal marks, but its Gram matrix is no Goeritz form
+NON_MEMBER = xp.PartialEmbedding(((1, -1, 1, 1, 0), (-1, 1, 1, 1, 0),
+                                  (0, 0, -1, -1, 1), (1, 1, 0, 0, 0)))
+
+
 def test_structure_check_refuses_a_non_member():
     """Orthogonal marks on a matrix whose Gram is no Goeritz form: the
     membership refusal, not a theorem failure."""
-    pe = xp.PartialEmbedding(((1, -1, 1, 1, 0), (-1, 1, 1, 1, 0),
-                              (0, 0, -1, -1, 1), (1, 1, 0, 0, 0)))
+    pe = NON_MEMBER
     assert pe.pairing(*pe.marked_rows()) == 0
     message = "not the Goeritz matrix of an alternating 3-braid"
     with pytest.raises(ValueError, match=f"^{message}$"):
         xp.orthogonal_marked_structure(pe)
+
+
+def test_completion_refuses_a_non_member():
+    """The x-tail solve and the blockade check give the membership refusal
+    on a non-member with orthogonal marks, not "no completion" or a
+    blockade verdict, alone or among the members of rank <= 4."""
+    layers = {r: list(ms) for r, ms in xp._grow_balanced(4).items()}
+    layers[NON_MEMBER.r].append(NON_MEMBER)
+    message = "not the Goeritz matrix of an alternating 3-braid"
+    for check in (lambda: xp.completion_x_tail(NON_MEMBER),
+                  lambda: xp.no_orthogonal_completion_in({4: (NON_MEMBER,)}),
+                  lambda: xp.no_orthogonal_completion_in(layers)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check()
 
 
 def test_no_orthogonal_completion():

@@ -258,6 +258,73 @@ def test_symmetry_sides_builds_one_unknot_table(monkeypatch, g87_matrix):
     assert calls == [23]  # both orientations share the table
 
 
+def test_dtable_quarters():
+    """The integers 4D*v, by label, for every unknot table D <= 99."""
+    for d in range(3, 100, 2):
+        t = forms.d_table_halfint_unknot(d)
+        assert all(type(q) is int for q in t.quarters)
+        assert t.quarters == tuple(4 * d * v for v in t.values), d
+    assert forms.d_table_halfint_unknot(3).quarters == (6, -2, -2)
+
+
+def _sides_or_refusal(sides, m):
+    """symmetry_sides(m) by either implementation, or its refusal."""
+    try:
+        return sides(m)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_symmetry_sides_match_the_fraction_test_on_words():
+    """Both sides equal the retired Fraction test, refusals included, on
+    every word of exponent <= 12 with r <= 6 and determinant above 1."""
+    outcomes = {}
+    for word in braid.alt_words(12):
+        if word.r > 6:
+            continue
+        g = goeritz.goeritz_3braid(word)
+        if goeritz.determinant(g) == 1:
+            continue
+        got = _sides_or_refusal(forms.symmetry_sides, g.matrix)
+        assert got == _sides_or_refusal(oracles.retired_symmetry_sides,
+                                        g.matrix), word.pairs
+        key = tuple(got.values()) if isinstance(got, dict) \
+            else got.split(":")[0]
+        outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes == {(False, False): 146, (False, True): 27,
+                        (True, False): 21, (True, True): 17,
+                        "NonCyclicCokernel": 15,
+                        "ValueError": 340}  # even determinants
+
+
+def test_symmetry_sides_match_the_fraction_test_on_twist_forms():
+    """The twist form of every odd determinant D <= 99, D = 1 refused."""
+    for d in range(1, 100, 2):
+        m = forms.twist_knot_form((d + 1) // 2)
+        got = _sides_or_refusal(forms.symmetry_sides, m)
+        assert got == _sides_or_refusal(oracles.retired_symmetry_sides, m), d
+        assert got == ("ValueError: D must be odd and at least 3" if d == 1
+                       else {"table": True, "negated": d in (3, 5)}), d
+
+
+def test_symmetry_test_matches_the_fraction_test_on_perturbed_tables():
+    """The unknot table of D = 23 with one conjugate pair of labels moved
+    by 1/(4D), on both orientations."""
+    d = 23
+    unknot = forms.d_table_halfint_unknot(d)
+    answers = []
+    for i in range(d):
+        vals = list(unknot.values)
+        for j in {i, -i % d}:
+            vals[j] += Fraction(1, 4 * d)
+        for table in (forms.DTable(d, tuple(vals)),
+                      forms.DTable(d, tuple(-v for v in vals))):
+            got = forms.halfint_symmetry_test(table, unknot)
+            assert got == oracles.retired_halfint_symmetry_test(table, unknot)
+            answers.append(got)
+    assert answers.count(True) == 3
+
+
 def test_unknot_table_checks_its_maximizers(monkeypatch):
     """A tabulated maximizer that is not characteristic is a theorem failure.
 

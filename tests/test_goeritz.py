@@ -69,6 +69,16 @@ def test_goeritz_pairs_refusals():
         goeritz.goeritz_pairs(doubled)
 
 
+@pytest.mark.parametrize("matrix", [((-3, 1), (1,)),
+                                    ((-3, 1, 1), (1, -2, 1)),
+                                    ((-2, 1, 1), (1, -6, 1, 0), (1, 1, -3))],
+                         ids=["ragged", "wide", "long row"])
+def test_goeritz_pairs_refuses_a_non_square_matrix(matrix):
+    """As linalg.det does: a ValueError, never an IndexError."""
+    with pytest.raises(ValueError, match="^matrix is not square$"):
+        goeritz.goeritz_pairs(matrix)
+
+
 def test_determinants(w87, w1079):
     assert goeritz.determinant(goeritz.goeritz_3braid(w87)) == 23
     assert goeritz.determinant(goeritz.goeritz_3braid(w1079)) == 61
