@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -258,3 +259,39 @@ def test_python_m_threebraid(capsys):
     assert proc.returncode == code == 0
     assert proc.stdout == out
     assert "r = 3: 2 member(s)" in out
+
+
+GOLDEN_ARGV = [
+    ["u1", "s1^-4 s2 s1^-1 s2^2"],
+    ["u1", "s1^-3 s2^2 s1^-2 s2^3"],
+    ["u1", "s1^-3 s2^2 s1^-2 s2^3", "--no-change-making"],
+    ["u1", "--matrix", "g87.json", "--sigma", "2"],
+    ["invariants", "s1^-4 s2 s1^-1 s2^2"],
+    ["goeritz", "s1^-4 s2 s1^-1 s2^2"],
+    ["enumerate", "--bound", "8"],
+    ["dtable", "s1^-4 s2 s1^-1 s2^2"],
+    ["dtable", "--unknot", "9"],
+    ["dtable", "--matrix", "g87.json"],
+    ["symmetry", "s1^-3 s2^2 s1^-2 s2^3"],
+    ["symmetry", "--matrix", "g87.json"],
+    ["embed", "--matrix", "pretzel.json", "--target-rank", "6"],
+    ["b0", "--rmax", "5", "--check"],
+    ["pretzel-check"],
+]
+
+GOLDEN_SHA256 = "fcdcb640954127473ac92caf91b37ccf675570599979848d45e27567d7947b72"
+
+
+def test_golden_output(capsys, tmp_path, monkeypatch, g87_matrix):
+    """One sha256 pins the exit code, stdout and --out file of each command."""
+    from threebraid.forms import PRETZEL_FORM
+    monkeypatch.chdir(tmp_path)
+    for name, matrix in (("g87.json", g87_matrix), ("pretzel.json", PRETZEL_FORM)):
+        Path(name).write_text(json.dumps({"goeritz": [list(r) for r in matrix]}))
+    record = []
+    for argv in GOLDEN_ARGV:
+        code, out, _ = run_cli(capsys, *argv, "--out", "out.json")
+        record.append([argv, code, out, Path("out.json").read_text()])
+        Path("out.json").unlink()
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == GOLDEN_SHA256
