@@ -25,9 +25,9 @@ from .expansions import (PartialEmbedding, expand, generate_balanced,
 from .forms import (DTable, coker_map, d_table_halfint_unknot, d_table_sharp,
                     halfint_symmetry_test, one_vector_coverage,
                     twist_knot_form)
-from .goeritz import (GoeritzForm, InvariantRecord, d_bound_predicate,
-                      determinant, goeritz_3braid, invariants,
-                      load_goeritz_json, mirror_word, s_invariant_normal_form,
+from .goeritz import (GoeritzForm, InvariantRecord, determinant,
+                      goeritz_3braid, invariants, load_goeritz_json,
+                      mirror_word, s_invariant_normal_form,
                       signature_normal_form)
 from .linalg import is_negative_definite
 

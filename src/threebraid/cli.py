@@ -53,8 +53,8 @@ def cmd_invariants(args):
     rec = goeritz.invariants(word)
     doc = {"word": word.to_json(), "determinant": rec.determinant,
            "sigma": rec.signature, "s": rec.s_invariant, "n": rec.n,
-           "d_bound": [d for d in (-1, 0, 1, 2)
-                       if goeritz.d_bound_predicate(d, abs(rec.signature))]}
+           # an unknotting-number-one normal form has d in these, at any sigma
+           "d_bound": [-1, 0, 1, 2]}
     _emit(args, doc, [
         f"word: {word.pairs}",
         f"determinant: {rec.determinant} = 2*{rec.n} - 1",
@@ -243,6 +243,11 @@ def cmd_b0(args):
     return 0
 
 
+def _pad(a, n):
+    """The embedding a with zero columns appended up to width n."""
+    return tuple(row + (0,) * (n - len(row)) for row in a)
+
+
 def cmd_pretzel_check(args):
     m = forms.PRETZEL_FORM
     coker = forms.coker_map(m)
@@ -252,20 +257,23 @@ def cmd_pretzel_check(args):
     doc = {"determinant": linalg.det(m), "order": coker.order,
            "embeddings": {}, "coverage": {}}
     ok = True
-    for n in (5, 6, 7):
-        classes = embed.embed_form(m, n)
+    classes = {n: embed.embed_form(m, n) for n in (5, 6, 7)}
+    for n, found in classes.items():
         want = 1 if n == 5 else 2
-        ok = ok and len(classes) == want
-        doc["embeddings"][str(n)] = len(classes)
-        lines.append(f"embeddings into rank {n}: {len(classes)} (expected {want})")
+        ok = ok and len(found) == want
+        doc["embeddings"][str(n)] = len(found)
+        lines.append(f"embeddings into rank {n}: {len(found)} (expected {want})")
+    # A1 is the one rank-5 class; A2 the rank-6 class that is not A1 padded
+    a1 = classes[5][0]
+    a2 = next(b for b in classes[6] if b != _pad(a1, 6))
     full = {(i,) for i in range(coker.order)}
     for n in (5, 6, 7, 8):
-        cov = forms.one_vector_coverage(forms.pretzel_embedding(1, n), m)
+        cov = forms.one_vector_coverage(_pad(a1, n), m)
         doc["coverage"][f"A1@{n}"] = sorted(c[0] for c in cov)
         ok = ok and len(full - cov) == 6
         lines.append(f"A1 width {n}: misses {len(full - cov)} of {coker.order}")
     for n in (6, 7, 8):
-        cov = forms.one_vector_coverage(forms.pretzel_embedding(2, n), m)
+        cov = forms.one_vector_coverage(_pad(a2, n), m)
         doc["coverage"][f"A2@{n}"] = sorted(c[0] for c in cov)
         ok = ok and full - cov == {(0,)}
         lines.append(f"A2 width {n}: misses {sorted(c[0] for c in full - cov)}")

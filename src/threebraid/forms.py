@@ -150,8 +150,13 @@ class DTable:
     @classmethod
     def from_json(cls, data):
         D = int(data["determinant"])
-        vals = [Fraction(data["values"][str(i)]) for i in range(D)]
-        return cls(D, tuple(vals))
+        values = data["values"]
+        labels = [str(i) for i in range(D)]
+        wrong = sorted(set(values).symmetric_difference(labels))
+        if wrong:
+            raise ValueError(f"label {wrong[0]}: need a value for each "
+                             f"label 0..{D - 1} and for no other")
+        return cls(D, tuple(Fraction(values[label]) for label in labels))
 
 
 def d_table_sharp(m):
@@ -301,7 +306,7 @@ def one_vector_coverage(a, m):
     return reach
 
 
-# --- fixtures: the pretzel plumbing and its two stable embeddings ---------
+# --- the pretzel plumbing: the form pretzel-check reproduces ---------------
 
 PRETZEL_FORM = (
     (-2, 1, 0, 0, 0),
@@ -310,28 +315,3 @@ PRETZEL_FORM = (
     (0, 0, 1, -2, 0),
     (0, 0, 1, 0, -3),
 )
-
-_PRETZEL_A1 = (
-    (1, -1, 0, 0, 0),
-    (0, 1, -1, 0, 0),
-    (0, 0, 1, -1, 0),
-    (0, 0, 0, 1, -1),
-    (-1, -1, -1, 0, 0),
-)
-
-_PRETZEL_A2 = (
-    (1, -1, 0, 0, 0, 0),
-    (0, 1, -1, 0, 0, 0),
-    (0, 0, 1, -1, 0, 0),
-    (0, 0, 0, 1, -1, 0),
-    (0, 0, 0, 1, 1, 1),
-)
-
-
-def pretzel_embedding(which, n):
-    """The displayed pretzel embedding, padded with zero columns to width n."""
-    base = {1: _PRETZEL_A1, 2: _PRETZEL_A2}[which]
-    width = len(base[0])
-    if n < width:
-        raise ValueError(f"embedding {which} needs at least {width} columns")
-    return tuple(row + (0,) * (n - width) for row in base)

@@ -32,7 +32,6 @@ class GoeritzForm:
     matrix: tuple
     region_map: tuple = None
     cycle_edges: tuple = None
-    word: AltBraidWord = None
 
     @property
     def r(self):
@@ -55,7 +54,7 @@ def goeritz_3braid(word):
     for l, (a, b) in enumerate(word.pairs):
         region_map[len(cycle)] = tuple(CrossingRef(2 * l, k) for k in range(a))
         cycle.extend(CrossingRef(2 * l + 1, k) for k in range(b))
-    form = GoeritzForm(matrix, tuple(region_map), tuple(cycle), word)
+    form = GoeritzForm(matrix, tuple(region_map), tuple(cycle))
     if not linalg.is_negative_definite(matrix):
         raise linalg.TheoremViolation("Goeritz form is not negative definite")
     return form
@@ -144,16 +143,6 @@ def s_invariant_normal_form(d, word):
     return s0
 
 
-def d_bound_predicate(d, sigma):
-    """Fast pre-filter: an unknotting-number-one normal form has d in {-1,0,1,2}.
-
-    Callers mirror first so that sigma >= 0.
-    """
-    if sigma < 0:
-        raise ValueError("mirror first: predicate wants sigma >= 0")
-    return d in (-1, 0, 1, 2)
-
-
 def mirror_word(word):
     """Alternating word of the mirror diagram.
 
@@ -212,6 +201,8 @@ def load_goeritz_json(text):
             isinstance(row, list) and all(type(x) is int for x in row)
             for row in rows):
         raise ValueError("the goeritz matrix must be a list of integer rows")
+    if not rows:
+        raise ValueError("the goeritz matrix has no rows")
     matrix = linalg.freeze(rows)
     if not linalg.is_negative_definite(matrix):
         raise ValueError("matrix is not negative definite")

@@ -51,6 +51,9 @@ of `braid.AltBraidWord.canonical`.  `retired_halfint_symmetry_test`, in
 Fraction arithmetic, and `retired_symmetry_sides`, which builds and tests
 a negated DTable, are the retired forms of `forms.halfint_symmetry_test`
 and `forms.symmetry_sides`, now decided on the integer quarters 4D*d.
+`pretzel_embedding` pads the two pretzel embeddings as displayed,
+`PRETZEL_A1` and `PRETZEL_A2`: the reference that `embed.embed_form`'s
+classes of `forms.PRETZEL_FORM`, which `pretzel-check` reads, must match.
 """
 
 from fractions import Fraction
@@ -992,3 +995,29 @@ def retired_symmetry_sides(m):
     unknot = forms.d_table_halfint_unknot(d)
     return {"table": retired_halfint_symmetry_test(table, unknot),
             "negated": retired_halfint_symmetry_test(negated, unknot)}
+
+
+PRETZEL_A1 = (
+    (1, -1, 0, 0, 0),
+    (0, 1, -1, 0, 0),
+    (0, 0, 1, -1, 0),
+    (0, 0, 0, 1, -1),
+    (-1, -1, -1, 0, 0),
+)
+
+PRETZEL_A2 = (
+    (1, -1, 0, 0, 0, 0),
+    (0, 1, -1, 0, 0, 0),
+    (0, 0, 1, -1, 0, 0),
+    (0, 0, 0, 1, -1, 0),
+    (0, 0, 0, 1, 1, 1),
+)
+
+
+def pretzel_embedding(which, n):
+    """The displayed pretzel embedding, padded with zero columns to width n."""
+    base = {1: PRETZEL_A1, 2: PRETZEL_A2}[which]
+    width = len(base[0])
+    if n < width:
+        raise ValueError(f"embedding {which} needs at least {width} columns")
+    return tuple(row + (0,) * (n - width) for row in base)

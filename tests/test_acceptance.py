@@ -92,10 +92,10 @@ def test_acceptance_4_pretzel_computed():
     assert order == 9
     full = {(i,) for i in range(order)}
     for n in (5, 6, 7, 8):
-        cov = forms.one_vector_coverage(forms.pretzel_embedding(1, n), m)
+        cov = forms.one_vector_coverage(oracles.pretzel_embedding(1, n), m)
         assert len(full - cov) == 6, n
     for n in (6, 7, 8):
-        cov = forms.one_vector_coverage(forms.pretzel_embedding(2, n), m)
+        cov = forms.one_vector_coverage(oracles.pretzel_embedding(2, n), m)
         assert full - cov == {(0,)}, n
     elapsed = time.time() - t0
     assert elapsed < 60
@@ -114,7 +114,7 @@ def test_acceptance_4_pretzel_stated_count():
     """
     m = forms.PRETZEL_FORM
     order = forms.coker_map(m).order
-    cov = forms.one_vector_coverage(forms.pretzel_embedding(1, 5), m)
+    cov = forms.one_vector_coverage(oracles.pretzel_embedding(1, 5), m)
     missed = order - len(cov)
     print(f"\ncriterion 4 (stated count): FAIL expected -- "
           f"group order {order}, missed {missed} (stated: 25 and 20)")

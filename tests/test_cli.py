@@ -118,6 +118,15 @@ def test_matrix_entries_must_be_integers(capsys, tmp_path, command, matrix):
     assert code == 2 and out == "" and "integer rows" in err
 
 
+@pytest.mark.parametrize("command", [["u1", "--sigma", "2"], ["symmetry"],
+                                     ["dtable"], ["embed", "--target-rank", "2"]])
+def test_empty_matrix_is_refused(capsys, tmp_path, command):
+    """A matrix with no rows is refused before any output."""
+    path = _matrix_file(tmp_path, ())
+    code, out, err = run_cli(capsys, *command, "--matrix", path)
+    assert code == 2 and out == "" and "no rows" in err
+
+
 def test_u1_input_errors(capsys):
     code, _, err = run_cli(capsys, "u1", "s3^2")
     assert code == 2 and "generator" in err
@@ -249,15 +258,21 @@ def test_enumerate_refuses_bound_below_two(capsys, monkeypatch, bound):
 
 
 def test_python_m_threebraid(capsys):
-    """python -m threebraid runs the CLI, with the output of cli.run."""
+    """python -m threebraid runs the CLI, with the output of cli.run.
+
+    Under -O too, which strips asserts: the theorem checks must be raises.
+    """
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "threebraid", "b0",
-                           "--rmax", "3"], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
-    code, out, _ = run_cli(capsys, "b0", "--rmax", "3")
-    assert proc.returncode == code == 0
-    assert proc.stdout == out
+    for flags, argv in (([], ["b0", "--rmax", "3"]),
+                        (["-O"], ["u1", "s1^-4 s2 s1^-1 s2^2"]),
+                        (["-O"], ["b0", "--rmax", "3"])):
+        proc = subprocess.run([sys.executable, *flags, "-m", "threebraid", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        code, out, _ = run_cli(capsys, *argv)
+        assert proc.returncode == code == 0
+        assert proc.stdout == out
     assert "r = 3: 2 member(s)" in out
 
 

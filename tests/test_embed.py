@@ -152,13 +152,13 @@ def test_witness_invariants():
 
 
 def test_embed_form_pretzel():
+    """The displayed embeddings are the classes; 8 is pretzel-check's widest."""
     m = forms.PRETZEL_FORM
-    assert len(embed.embed_form(m, 5)) == 1
-    for n in (6, 7):
+    for n in (5, 6, 7, 8):
+        targets = {oracles.signed_column_canonical(oracles.pretzel_embedding(w, n))
+                   for w in ((1,) if n == 5 else (1, 2))}
         classes = embed.embed_form(m, n)
-        assert len(classes) == 2
-        targets = {oracles.signed_column_canonical(forms.pretzel_embedding(1, n)),
-                   oracles.signed_column_canonical(forms.pretzel_embedding(2, n))}
+        assert len(classes) == len(targets)
         assert {oracles.signed_column_canonical(b) for b in classes} == targets
 
 

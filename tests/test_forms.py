@@ -341,11 +341,11 @@ def test_coverage_pretzel():
     order = forms.coker_map(m).order
     full = {(i,) for i in range(order)}
     for n in (5, 6, 7, 8):
-        cov = forms.one_vector_coverage(forms.pretzel_embedding(1, n), m)
+        cov = forms.one_vector_coverage(oracles.pretzel_embedding(1, n), m)
         assert len(full - cov) == 6
         assert (0,) in cov
     for n in (6, 7, 8):
-        cov = forms.one_vector_coverage(forms.pretzel_embedding(2, n), m)
+        cov = forms.one_vector_coverage(oracles.pretzel_embedding(2, n), m)
         assert full - cov == {(0,)}
 
 
@@ -360,7 +360,7 @@ def test_coverage_gram_mismatch():
 
 def test_coverage_signed_permutation_invariance():
     m = forms.PRETZEL_FORM
-    a = forms.pretzel_embedding(1, 6)
+    a = oracles.pretzel_embedding(1, 6)
     base = forms.one_vector_coverage(a, m)
     twisted = tuple((row[3], -row[0], row[5], row[2], -row[4], row[1])
                     for row in a)
@@ -372,9 +372,21 @@ def test_dtable_json_roundtrip():
     assert forms.DTable.from_json(t.to_json()) == t
 
 
+def test_dtable_from_json_refuses_wrong_labels():
+    """Every label of Z/D needs a value, and no other label may have one."""
+    doc = forms.d_table_halfint_unknot(3).to_json()
+    del doc["values"]["2"]
+    with pytest.raises(ValueError, match="label 2"):
+        forms.DTable.from_json(doc)
+    doc = forms.d_table_halfint_unknot(3).to_json()
+    doc["values"]["7"] = "0"
+    with pytest.raises(ValueError, match="label 7"):
+        forms.DTable.from_json(doc)
+
+
 def test_pretzel_fixture_gram():
     for which, width in ((1, 5), (2, 6)):
-        a = forms.pretzel_embedding(which, width + 2)
+        a = oracles.pretzel_embedding(which, width + 2)
         assert linalg.neg(linalg.gram(a)) == forms.PRETZEL_FORM
     with pytest.raises(ValueError):
-        forms.pretzel_embedding(2, 5)
+        oracles.pretzel_embedding(2, 5)

@@ -105,14 +105,6 @@ def test_s_invariant(w87):
     assert oracles.s_invariant_torus3(-4) == -6
 
 
-def test_d_bound_predicate():
-    assert goeritz.d_bound_predicate(0, 0)
-    assert goeritz.d_bound_predicate(-1, 2)
-    assert not goeritz.d_bound_predicate(3, 0)
-    with pytest.raises(ValueError):
-        goeritz.d_bound_predicate(0, -2)
-
-
 def test_mirror(w87):
     assert goeritz.mirror_word(w87).pairs == ((2, 1), (1, 4))
     assert goeritz.mirror_word(goeritz.mirror_word(w87)) == w87
@@ -174,3 +166,5 @@ def test_json_ingestion(g87_matrix):
         goeritz.load_goeritz_json(json.dumps({"goeritz": [[-1, 2], [0, -1]]}))
     with pytest.raises(ValueError):
         goeritz.load_goeritz_json(json.dumps({"matrix": [[-1]]}))
+    with pytest.raises(ValueError, match="no rows"):
+        goeritz.load_goeritz_json(json.dumps({"goeritz": []}))
