@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -124,6 +126,24 @@ def test_dtable_sharp_matches_box_oracle():
     assert words == 161
     for m in cases:
         assert forms.d_table_sharp(m) == oracles.box_d_table_sharp(m), m
+
+
+def test_printed_tables_are_pinned():
+    """One sha256 over the JSON of every sharp table of a cyclic knot word of
+    exponent <= 12 (316 words) and every unknot table of odd 3 <= D <= 255."""
+    record = []
+    for word in braid.alt_words(12):
+        if not braid.is_knot_closure(word.raw()):
+            continue
+        m = goeritz.goeritz_3braid(word).matrix
+        if forms.coker_map(m).is_cyclic:
+            record.append([word.pairs, forms.d_table_sharp(m).to_json()])
+    assert len(record) == 316
+    record += [forms.d_table_halfint_unknot(d).to_json()
+               for d in range(3, 256, 2)]
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == ("d6bd000f534390ec7d3eb98aa0f18788"
+                      "5e992fc512238b8bfafc7ef2b4a0d711")
 
 
 @st.composite
