@@ -38,8 +38,8 @@ def twist_knot_form(n):
     This is also the linking form of the two-handle trace of -D/2 surgery,
     D = 2n - 1.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    if type(n) is not int or n < 1:
+        raise ValueError("n must be a positive integer")
     return ((-n, 1), (1, -2))
 
 
@@ -125,9 +125,12 @@ class DTable:
 
     def __post_init__(self):
         D = self.determinant
-        if D < 1 or D % 2 == 0 or len(self.values) != D:
+        if type(D) is not int or D < 1 or D % 2 == 0 \
+                or type(self.values) is not tuple or len(self.values) != D:
             raise ValueError("need one value per label of an odd determinant")
         for i, v in enumerate(self.values):
+            if type(v) is not Fraction:
+                raise ValueError(f"value {v!r} is not a Fraction")
             if v != self.values[-i % D]:
                 raise ValueError("conjugation symmetry broken")
             if (4 * D * v).denominator != 1:
@@ -149,8 +152,16 @@ class DTable:
 
     @classmethod
     def from_json(cls, data):
-        D = int(data["determinant"])
-        values = data["values"]
+        if not isinstance(data, dict) or not {"determinant",
+                                              "values"} <= set(data):
+            raise ValueError('expected an object with the keys '
+                             '"determinant" and "values"')
+        D, values = data["determinant"], data["values"]
+        if type(D) is not int:
+            raise ValueError("the determinant must be an integer")
+        if not isinstance(values, dict) or not all(
+                type(v) is str for v in values.values()):
+            raise ValueError("the values must map labels to strings")
         labels = [str(i) for i in range(D)]
         wrong = sorted(set(values).symmetric_difference(labels))
         if wrong:
@@ -166,27 +177,34 @@ def d_table_sharp(m):
     covectors c in every class restricting to t; the label of a covector
     divides its cokernel class by 2.  Needs odd determinant and cyclic
     cokernel.
-
-    The maxima are taken over the box M_ii <= c_i <= -M_ii, which holds a
-    square-maximizer of every cokernel class: a characteristic covector
-    outside it reflects inside by steps of twice a basis row without
-    decreasing its square.  Squares are compared as the integers
-    D c^2 = c A c^T with A = (-1)^k adj(M).  One walk over the box fixes
-    c_0, c_1, ... in turn and carries the partial score over the fixed
-    coordinates, their row sums against A and their partial label, so each
-    innermost step costs O(1).
     """
-    m = linalg.freeze(m)
     coker = coker_map(m)
     D = coker.order
     if D % 2 == 0:
         raise ValueError("discriminant must be odd")
     if not coker.is_cyclic:
         raise NonCyclicCokernel(coker.invariant_factors)
+    return _sharp_table(coker.matrix, D, coker.label_row)
+
+
+def _sharp_table(m, D, label_row):
+    """d_table_sharp of a negative definite m whose cokernel is cyclic of
+    odd order D, labelled by label_row; the caller has checked all three.
+
+    The maxima are taken over the box M_ii <= c_i <= -M_ii, which holds a
+    square-maximizer of every cokernel class: a characteristic covector
+    outside it reflects inside by steps of twice a basis row without
+    decreasing its square.  Squares are compared as the integers
+    D c^2 = c A c^T with A = (-1)^k adj(M), and each value is the one
+    exact division (b + kD)/(4D) of the best such integer b.  One walk
+    over the box fixes c_0, c_1, ... in turn and carries the partial score
+    over the fixed coordinates, their row sums against A and their partial
+    label, so each innermost step costs O(1).
+    """
     k = len(m)
     a = [[(-1) ** k * x for x in row] for row in linalg.adjugate(m)]
     inv2 = pow(2, -1, D)
-    w = [x * inv2 % D for x in coker.label_row]
+    w = [x * inv2 % D for x in label_row]
     axes = [range(m[i][i], -m[i][i] + 1, 2) for i in range(k)]
     best = [None] * D
 
@@ -211,19 +229,21 @@ def d_table_sharp(m):
         best = [0]          # the empty form: one covector, c = ()
     if any(b is None for b in best):
         raise TheoremViolation("a label has no covector in the box")
-    return DTable(D, tuple((Fraction(b, D) + k) / 4 for b in best))
+    return DTable(D, tuple(Fraction(b + k * D, 4 * D) for b in best))
 
 
 def d_table_halfint_unknot(D):
     """Correction terms of -D/2 surgery on the unknot.
 
     The sharp table of the twist knot form with n = (D+1)/2, which is the
-    intersection form of the trace of that surgery; coker_map labels its
-    covectors (a, b) by a + n*b.
+    intersection form of the trace of that surgery.  That form is negative
+    definite with cyclic cokernel of order D, whose covectors (a, b) are
+    labelled a + n*b (CokerMap.label_row), so no cokernel is computed.
     """
-    if D < 3 or D % 2 == 0:
+    if type(D) is not int or D < 3 or D % 2 == 0:
         raise ValueError("D must be odd and at least 3")
-    return d_table_sharp(twist_knot_form((D + 1) // 2))
+    n = (D + 1) // 2
+    return _sharp_table(twist_knot_form(n), D, (1, n))
 
 
 def halfint_symmetry_test(table, unknot):

@@ -17,8 +17,20 @@ class TheoremViolation(AssertionError):
 
 
 def freeze(rows):
-    """Return the matrix as a tuple of tuples of ints."""
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    """Return the matrix as a tuple of tuples of ints.
+
+    Nothing is coerced: an entry that is not an int (a bool, float or
+    string) raises ValueError, and so do rows of unequal length.
+    """
+    try:
+        m = tuple(tuple(row) for row in rows)
+    except TypeError:
+        raise ValueError("a matrix is a sequence of rows") from None
+    if any(type(x) is not int for row in m for x in row):
+        raise ValueError("matrix entries must be integers")
+    if any(len(row) != len(m[0]) for row in m):
+        raise ValueError("matrix rows have unequal lengths")
+    return m
 
 
 def is_symmetric(m):

@@ -278,6 +278,29 @@ def test_symmetry_sides_builds_one_unknot_table(monkeypatch, g87_matrix):
     assert calls == [23]  # both orientations share the table
 
 
+def test_unknot_table_matches_box_oracle():
+    """The unknot table, built without a cokernel, equals the box sweep of
+    the twist form for every odd D up to the symmetry workload's 255."""
+    for d in range(3, 256, 2):
+        m = forms.twist_knot_form((d + 1) // 2)
+        assert forms.d_table_halfint_unknot(d) == \
+            oracles.box_d_table_sharp(m), d
+
+
+def test_symmetry_sides_computes_one_cokernel(monkeypatch, g87_matrix):
+    """Only the word's table needs coker_map; the unknot table is labelled
+    in closed form."""
+    calls = []
+    coker = forms.coker_map
+    monkeypatch.setattr(forms, "coker_map",
+                        lambda m: calls.append(m) or coker(m))
+    cases = [g87_matrix, ((-3,),)]
+    cases += [forms.twist_knot_form(n) for n in range(2, 12)]
+    for m in cases:
+        forms.symmetry_sides(m)
+    assert calls == cases
+
+
 def test_dtable_quarters():
     """The integers 4D*v, by label, for every unknot table D <= 99."""
     for d in range(3, 100, 2):
