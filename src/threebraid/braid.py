@@ -32,6 +32,8 @@ class RawBraidWord:
 
     def __post_init__(self):
         for g, e in self.letters:
+            if type(g) is not int or type(e) is not int:
+                raise BraidSyntaxError(f"non-integer letter ({g!r}, {e!r})")
             if g not in (1, 2):
                 raise BraidSyntaxError(f"generator out of range: {g}")
             if e == 0:
@@ -50,7 +52,7 @@ class RawBraidWord:
 
     @classmethod
     def from_json(cls, data):
-        return cls(tuple((int(g), int(e)) for g, e in data))
+        return cls(tuple((g, e) for g, e in data))
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,8 @@ class AltBraidWord:
         if not self.pairs:
             raise ValueError("alternating word needs m >= 1")
         for a, b in self.pairs:
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"non-integer exponents ({a!r}, {b!r})")
             if a < 1 or b < 1:
                 raise ValueError("alternating word needs all a_i, b_i >= 1")
 
@@ -87,19 +91,18 @@ class AltBraidWord:
     @classmethod
     def canonical(cls, pairs):
         """The rotation whose signed exponent sequence (-a1, b1, ...) is least."""
-        pairs = tuple((int(a), int(b)) for a, b in pairs)
-        if not pairs:
-            raise ValueError("alternating word needs m >= 1")
+        word = cls(tuple((a, b) for a, b in pairs))
+        pairs = word.pairs
         signed = [(-a, b) for a, b in pairs]
         best = min(range(len(pairs)), key=lambda s: signed[s:] + signed[:s])
-        return cls(pairs[best:] + pairs[:best])
+        return word if best == 0 else cls(pairs[best:] + pairs[:best])
 
     def to_json(self):
         return [[a, b] for a, b in self.pairs]
 
     @classmethod
     def from_json(cls, data):
-        return cls.canonical(tuple((int(a), int(b)) for a, b in data))
+        return cls.canonical(data)
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,10 @@ class CrossingRef:
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["letter"]), int(data["slot"]))
+        letter, slot = data["letter"], data["slot"]
+        if type(letter) is not int or type(slot) is not int:
+            raise ValueError(f"non-integer crossing ({letter!r}, {slot!r})")
+        return cls(letter, slot)
 
 
 @dataclass(frozen=True)
@@ -268,6 +274,8 @@ def _alt_pairs(syms):
 
 def alt_words(bound):
     """Every canonical alternating word of total exponent <= bound, sorted."""
+    if type(bound) is not int:
+        raise ValueError(f"bound {bound!r} is not an integer")
     seen = set()
 
     def rec(pairs, budget):
@@ -480,6 +488,8 @@ def enumerate_unknotting_words(max_total_exponent):
     converted to its alternating diagram with the changed crossing tagged;
     the output is deduplicated under rotation, generator swap and mirror.
     """
+    if type(max_total_exponent) is not int:
+        raise ValueError(f"bound {max_total_exponent!r} is not an integer")
     if max_total_exponent < 2:
         raise ValueError("bound must be at least 2")
     seeds = set()

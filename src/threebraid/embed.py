@@ -379,6 +379,8 @@ def embed_form(m, n_cols):
     if not linalg.is_negative_definite(m):
         raise ValueError("matrix is not negative definite")
     k = len(m)
+    if type(n_cols) is not int:
+        raise ValueError(f"target rank {n_cols!r} is not an integer")
     if n_cols < k:
         raise ValueError("target rank below the rank of the form")
     diag = [-m[i][i] for i in range(k)]
@@ -624,19 +626,32 @@ class PipelineReport:
 
     @classmethod
     def from_json(cls, data):
+        """The report to_json wrote.  Nothing is coerced: a field of any
+        other type, a bool for an int included, is a ValueError."""
         wits = []
         for w in data["witnesses"]:
-            rows = tuple(tuple(int(x) for x in row) for row in w["matrix"])
+            rows = linalg.freeze(w["matrix"])
             wits.append(CriterionWitness(
                 EmbeddingMatrix(rows, len(rows) - 2),
                 None if w["crossing"] is None
                 else CrossingRef.from_json(w["crossing"]),
-                bool(w["verified"]), w["case"], bool(w["mirrored"])))
-        return cls(AltBraidWord.from_json(data["word"]), int(data["sigma"]),
-                   int(data["determinant"]), int(data["n"]),
-                   int(data["epsilon"]), data["stage"], tuple(wits),
-                   bool(data["input_mirrored"]), data["note"],
-                   bool(data["change_making_enforced"]))
+                _field(w, "verified", bool), _field(w, "case", str),
+                _field(w, "mirrored", bool)))
+        return cls(AltBraidWord.from_json(data["word"]),
+                   *[_field(data, key, int)
+                     for key in ("sigma", "determinant", "n", "epsilon")],
+                   _field(data, "stage", str), tuple(wits),
+                   _field(data, "input_mirrored", bool),
+                   _field(data, "note", str),
+                   _field(data, "change_making_enforced", bool))
+
+
+def _field(doc, key, kind):
+    """doc[key], which must have exactly the type kind."""
+    value = doc[key]
+    if type(value) is not kind:
+        raise ValueError(f"{key} {value!r} is not of type {kind.__name__}")
+    return value
 
 
 def u1_pipeline(word, enforce_change_making=True):

@@ -17,7 +17,6 @@ the solved x tail always breaks the change-making chain.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, groupby, islice, permutations, product
 from operator import itemgetter, mul
 
@@ -322,7 +321,7 @@ def _expansion_steps(pe):
             for a, b, col, kind, c in sorted(moves)]
 
 
-def _orientations(pe, marks=None):
+def _orientations(pe, marks):
     """Both orientations of pe's cycle rows, middle rows by signature.
 
     Each middle row gets a signature that column moves keep: its sorted
@@ -331,11 +330,11 @@ def _orientations(pe, marks=None):
     (j, mid..., i) this returns the first and last tails, the middle
     rows' (signature..., tail) in sorted order, and the key of that order:
     the sorted list of tail columns.  The middle rows have head (0, 0),
-    so their pairings are read off the tails.  marks, when given, are
-    pe.marked_rows(), which is then not read again.
+    so their pairings are read off the tails.  marks are pe's marked
+    rows, as PartialEmbedding.marked_rows gives them.
     """
     v = pe.v_rows
-    i, j = pe.marked_rows() if marks is None else marks
+    i, j = marks
     first, last = v[i][2:], v[j][2:]
     mid = []
     for t, row in enumerate(v):
@@ -386,7 +385,7 @@ def _class_key(orients):
     return tuple(min(keys))
 
 
-def _children(members, kinds, seeds):
+def _children(members, seeds):
     """(seed, its marks), then (child, its parent's marks) for each move.
 
     A move never writes columns 0 and 1 and puts its new row, head (0, 0),
@@ -397,12 +396,11 @@ def _children(members, kinds, seeds):
     for pe in members:
         marks = pe.marked_rows()
         for step in _expansion_steps(pe):
-            if step.kind in kinds:
-                yield _grow(pe, step), marks
+            yield _grow(pe, step), marks
 
 
-def _expand_layer(members, kinds, seeds=()):
-    """Seeds, then every move of the given kinds on members, one per class.
+def _expand_layer(members, seeds):
+    """Seeds, then every move on members, one per class.
 
     Returns a dict from _class_key to member, in the order first met: the
     first member met in a class stays, and it alone is validated, so each
@@ -430,7 +428,7 @@ def _expand_layer(members, kinds, seeds=()):
     member up to those moves, and membership is invariant under them.
     """
     layer, shapes = {}, set()
-    for pe, marks in _children(members, kinds, seeds):
+    for pe, marks in _children(members, seeds):
         orients = _orientations(pe, marks)
         shape = _shape_key(orients)
         if shape not in shapes:
@@ -450,11 +448,13 @@ def _grow_balanced(r_max):
     layer kept it.  The layers are deduplicated by _class_key, so no
     canonical_form runs here.
     """
+    if type(r_max) is not int:
+        raise ValueError(f"r_max {r_max!r} is not an integer")
     if r_max < 2:
         raise ValueError("r_max must be at least 2")
     layers, layer = {}, {}
     for r in range(2, r_max + 1):
-        layer = _expand_layer(layer.values(), (1, 3), _SEEDS.get(r, ()))
+        layer = _expand_layer(layer.values(), _SEEDS.get(r, ()))
         layers[r] = tuple(layer.values())
     return layers
 
@@ -549,8 +549,7 @@ def orthogonal_marked_structure(pe):
 
     Raises ValueError unless pe is a member (the checks of expand) whose
     marked rows pair to 0; raises TheoremViolation if no row/column
-    reordering realizes the block form or the member is not reachable
-    from the two small seeds by kind-1 moves alone.
+    reordering realizes the block form.
     """
     i, j = _validate(pe).marked_rows()
     if pe.pairing(i, j) != 0:
@@ -558,8 +557,6 @@ def orthogonal_marked_structure(pe):
     found = next(_block_candidates(pe), None)
     if found is None:
         raise TheoremViolation("no staircase block form found")
-    if not _reachable_by_kind1(pe):
-        raise TheoremViolation("member not generated by kind-1 moves alone")
     return found
 
 
@@ -572,26 +569,6 @@ def _marks_ok(c, i, j, h1, chain1, h2, chain2):
             if any(v not in (0, 1) for v in vals) or not any(vals):
                 return False
     return True
-
-
-@lru_cache(maxsize=None)
-def _kind1_layer(r):
-    """(class keys, members) of rank r grown from the rank-2 seeds by kind 1.
-
-    Each rank is generated once per process, from the rank below.  The
-    keys are _expand_layer's _class_key, one per class, so membership of a
-    class needs no canonical_form.
-    """
-    if r <= 2:
-        layer = _expand_layer((), (1,), _SEEDS[2])
-    else:
-        layer = _expand_layer(_kind1_layer(r - 1)[1], (1,))
-    return frozenset(layer), tuple(layer.values())
-
-
-def _reachable_by_kind1(pe):
-    """Whether pe arises from the two rank-2 seeds by kind-1 moves alone."""
-    return _class_key(_orientations(pe)) in _kind1_layer(pe.r)[0]
 
 
 def completion_x_tail(pe):

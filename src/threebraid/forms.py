@@ -160,10 +160,14 @@ class DTable:
         if type(D) is not int:
             raise ValueError("the determinant must be an integer")
         if not isinstance(values, dict) or not all(
-                type(v) is str for v in values.values()):
+                type(k) is str and type(v) is str for k, v in values.items()):
             raise ValueError("the values must map labels to strings")
-        labels = [str(i) for i in range(D)]
-        wrong = sorted(set(values).symmetric_difference(labels))
+        # the labels are read only as far as values reaches: with fewer than
+        # D values one of the first len(values) + 1 labels is missing, and
+        # with more than D some value has no label
+        labels = [str(i) for i in range(min(D, len(values) + 1))]
+        wrong = sorted(set(values).difference(labels)) if len(values) > D \
+            else [label for label in labels if label not in values]
         if wrong:
             raise ValueError(f"label {wrong[0]}: need a value for each "
                              f"label 0..{D - 1} and for no other")

@@ -161,9 +161,10 @@ def smith_normal_form(m):
 
     Returns (divisors, U) with U unimodular and U*m*V diagonal for some
     unimodular V (V is not needed by the callers).  Divisors are
-    non-negative; zeros would indicate a singular matrix.
+    non-negative; zeros would indicate a singular matrix.  A rectangular
+    matrix is accepted; a malformed one is refused as freeze refuses it.
     """
-    a = [list(row) for row in m]
+    a = [list(row) for row in freeze(m)]
     n = len(a)
     cols = len(a[0]) if a else 0
     u = [[int(i == j) for j in range(n)] for i in range(n)]

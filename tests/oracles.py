@@ -22,8 +22,9 @@ is the retired closed form of `forms.d_table_halfint_unknot`, and
 `goeritz.goeritz_3braid` once had.  Likewise `pinned_canonical_form`, which
 compares whole keys over the pinned row orders, is the retired form of
 `expansions.canonical_form`, and `kind1_keys` regenerates the kind-1
-layers from the seeds as `expansions._reachable_by_kind1` once did for
-every member.  `retired_criterion_search`, the plain backtracker that
+layers from the seeds: the tests check with it that every member with
+orthogonal marks grows by kind-1 moves alone, a theorem the library no
+longer checks.  `retired_criterion_search`, the plain backtracker that
 scans every row's whole candidate pool, is the retired form of
 `embed.criterion_search`.  `retired_row_candidates`, uncached and
 building a new tuple for every row, is the retired form of

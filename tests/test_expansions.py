@@ -236,8 +236,8 @@ def test_canonical_form_matches_pinned_oracle_at_rank_7():
     for pe in grown:
         key = xp.canonical_form(pe)
         assert key == oracles.pinned_canonical_form(pe)
-        assert by_shape.setdefault(xp._shape_key(xp._orientations(pe)),
-                                   key) == key
+        shape = xp._shape_key(xp._orientations(pe, pe.marked_rows()))
+        assert by_shape.setdefault(shape, key) == key
         assert by_retired_shape.setdefault(oracles.retired_shape_key(pe),
                                            key) == key
     assert len(by_retired_shape) == 247
@@ -253,8 +253,8 @@ def _children_of_members():
 
 def test_class_key_matches_the_retired_key():
     """The retired class key on every child of rank <= 8, read with the
-    parent's marks as _expand_layer reads it (the child's own give the
-    same orientations); and equal shape keys give equal class keys."""
+    parent's marks as _expand_layer reads it (the child's own are the
+    same); and equal shape keys give equal class keys."""
     children = _children_of_members()
     assert len(children) == 1210
     by_shape = {}
@@ -262,7 +262,6 @@ def test_class_key_matches_the_retired_key():
         key = oracles.retired_class_key(child)
         assert child.marked_rows() == parent.marked_rows()
         orients = xp._orientations(child, parent.marked_rows())
-        assert orients == xp._orientations(child)
         assert xp._class_key(orients) == key
         assert by_shape.setdefault(xp._shape_key(orients), key) == key
     assert len(by_shape) == 579
@@ -342,7 +341,7 @@ def test_class_key_is_complete_at_rank_7():
     assert len(grown) == 432
     pinned_of, class_of = {}, {}
     for pe in grown:
-        key = xp._class_key(xp._orientations(pe))
+        key = xp._class_key(xp._orientations(pe, pe.marked_rows()))
         pinned = oracles.pinned_canonical_form(pe)
         assert pinned_of.setdefault(key, pinned) == pinned
         assert class_of.setdefault(pinned, key) == key
@@ -360,29 +359,30 @@ def test_canonical_form_runs_once_per_member(monkeypatch):
     monkeypatch.setattr(xp, "canonical_form", counting)
     layers = xp.generate_balanced(7)
     assert len(calls) == sum(map(len, layers.values())) == 129
-    assert all(xp._reachable_by_kind1(pe) for pe in xp._kind1_layer(7)[1])
-    assert len(calls) == 129
     calls.clear()
     assert xp.no_orthogonal_completion(7)
     assert not calls  # the blockade needs no order
 
 
-def test_kind1_layers_match_regeneration():
-    """The shared kind-1 layers hold the classes a per-member regeneration
-    finds, one member and one class key per class."""
+def test_orthogonal_marks_are_kind1_reachable():
+    """Every member with orthogonal marks grows from the two rank-2 seeds by
+    kind-1 moves alone: the kind-1 classes, regenerated from the seeds,
+    are classes of the balanced family, and they hold all 14 such members
+    of rank <= 7."""
     oracle = {r: oracles.kind1_keys(r) for r in range(2, 8)}
-    for r, keys in oracle.items():
-        shared, members = xp._kind1_layer(r)
-        assert isinstance(shared, frozenset)
-        assert shared == {xp._class_key(xp._orientations(pe))
-                      for pe in members}
-        assert len(shared) == len(members) == len(keys)
-        assert {oracles.pinned_canonical_form(pe) for pe in members} == keys, r
     assert {r: len(keys) for r, keys in oracle.items()} == \
         {2: 2, 3: 1, 4: 4, 5: 10, 6: 27, 7: 69}
-    for pe in _members(7):
-        assert xp._reachable_by_kind1(pe) == \
-            (oracles.pinned_canonical_form(pe) in oracle[pe.r])
+    layers = xp.generate_balanced(7)
+    orthogonal = 0
+    for r, keys in oracle.items():
+        pinned = {oracles.pinned_canonical_form(pe): pe for pe in layers[r]}
+        assert len(pinned) == len(layers[r])
+        assert keys <= set(pinned), r
+        for key, pe in pinned.items():
+            if pe.pairing(*pe.marked_rows()) == 0:
+                assert key in keys, r
+                orthogonal += 1
+    assert orthogonal == 14
 
 
 def _relabelled(draw, pe):
@@ -413,8 +413,8 @@ def test_canonical_form_ignores_relabelling(pair):
 @given(relabelled_members())
 def test_class_key_ignores_relabelling(pair):
     pe, copy = pair
-    assert xp._class_key(xp._orientations(copy)) == \
-        xp._class_key(xp._orientations(pe))
+    assert xp._class_key(xp._orientations(copy, copy.marked_rows())) == \
+        xp._class_key(xp._orientations(pe, pe.marked_rows()))
 
 
 @st.composite
@@ -451,15 +451,16 @@ def relabelled_marked_matrices(draw):
 def test_class_key_ignores_relabelling_of_marked_matrices(pair):
     """Repeated rows and tied signatures included."""
     pe, copy = pair
-    assert xp._class_key(xp._orientations(copy)) == \
-        xp._class_key(xp._orientations(pe))
+    assert xp._class_key(xp._orientations(copy, copy.marked_rows())) == \
+        xp._class_key(xp._orientations(pe, pe.marked_rows()))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(marked_matrices())
 def test_class_key_agrees_with_the_retired_key(pe):
     """Repeated rows and tied signatures included."""
-    assert xp._class_key(xp._orientations(pe)) == oracles.retired_class_key(pe)
+    assert xp._class_key(xp._orientations(pe, pe.marked_rows())) == \
+        oracles.retired_class_key(pe)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

@@ -416,7 +416,10 @@ def test_dtable_json_roundtrip():
 
 
 def test_dtable_from_json_refuses_wrong_labels():
-    """Every label of Z/D needs a value, and no other label may have one."""
+    """Every label of Z/D needs a value, and no other label may have one.
+
+    The labels are read only as far as the values reach, so a table that
+    claims D = 10**12 is refused at once, at a label it lacks."""
     doc = forms.d_table_halfint_unknot(3).to_json()
     del doc["values"]["2"]
     with pytest.raises(ValueError, match="label 2"):
@@ -424,6 +427,12 @@ def test_dtable_from_json_refuses_wrong_labels():
     doc = forms.d_table_halfint_unknot(3).to_json()
     doc["values"]["7"] = "0"
     with pytest.raises(ValueError, match="label 7"):
+        forms.DTable.from_json(doc)
+    doc = {"determinant": 10**12, "values": {}}
+    with pytest.raises(ValueError, match="^label 0: "):
+        forms.DTable.from_json(doc)
+    doc["values"] = {"0": "0", "1": "0", "x": "0"}
+    with pytest.raises(ValueError, match="^label 2: "):
         forms.DTable.from_json(doc)
 
 

@@ -1,6 +1,7 @@
-"""Malformed input to linalg and forms is refused with ValueError.
+"""Malformed input is refused with ValueError.
 
-Each generated case starts from a valid input, checks that it is
+The generated cases cover linalg and forms; the recorded cases add braid
+words, certificate readers and sizes.  Each generated case starts from a valid input, checks that it is
 accepted, and then breaks it in one way: an entry of the wrong type, a
 ragged or non-square shape, or a malformed table.  Nothing may be coerced
 into a verdict.
@@ -11,7 +12,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from threebraid import embed, forms, linalg
+from threebraid import braid, embed, expansions, forms, linalg
+from threebraid.braid import AltBraidWord, CrossingRef, RawBraidWord
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
                     database=None)
@@ -164,6 +166,9 @@ def test_refusals_of_the_recorded_cases():
     """Inputs that used to be coerced or to fail with other errors."""
     unknot = forms.d_table_halfint_unknot(3)
     doc = unknot.to_json()
+    report = embed.u1_pipeline(AltBraidWord(((2, 1), (1, 2)))).to_json()
+    assert report["witnesses"]
+    witness = report["witnesses"][0]
     cases = [
         lambda: forms.d_table_sharp(((-6.9, 1), (1, -2))),
         lambda: embed.embed_form(((-2.5,),), 2),
@@ -177,7 +182,33 @@ def test_refusals_of_the_recorded_cases():
         lambda: forms.d_table_halfint_unknot(5.0),
         lambda: forms.twist_knot_form(2.5),
         lambda: forms.twist_knot_form(True),
+        lambda: AltBraidWord(((1.5, 2),)),
+        lambda: AltBraidWord(((True, 2),)),
+        lambda: AltBraidWord.canonical(((1.9, 2),)),
+        lambda: AltBraidWord.canonical((("3", 2),)),
+        lambda: AltBraidWord.from_json([[1.9, 2]]),
+        lambda: AltBraidWord.from_json([["3", 2]]),
+        lambda: CrossingRef.from_json({"letter": 1.7, "slot": "0"}),
+        lambda: CrossingRef.from_json({"letter": 1, "slot": False}),
+        lambda: RawBraidWord.from_json([[1, -1.5]]),
+        lambda: RawBraidWord(((True, -1),)),
+        lambda: embed.PipelineReport.from_json(
+            dict(report, change_making_enforced="false")),
+        lambda: embed.PipelineReport.from_json(dict(report, sigma=0.0)),
+        lambda: embed.PipelineReport.from_json(dict(report, n=True)),
+        lambda: embed.PipelineReport.from_json(dict(report, witnesses=[
+            dict(witness, verified=1)])),
+        lambda: embed.PipelineReport.from_json(dict(report, witnesses=[
+            dict(witness, matrix=[[1.0] * len(row)
+                                  for row in witness["matrix"]])])),
+        lambda: expansions.generate_balanced(2.5),
+        lambda: braid.alt_words(2.5),
+        lambda: embed.embed_form(((-2,),), 2.5),
+        lambda: braid.enumerate_unknotting_words(2.5),
+        lambda: linalg.smith_normal_form(((1, 2), (3,))),
     ]
     for case in cases:
         with pytest.raises(ValueError):
             case()
+    assert embed.PipelineReport.from_json(report).to_json() == report
+    assert linalg.smith_normal_form(((2, 4, 0),))[0] == (2,)
