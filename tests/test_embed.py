@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 
 import pytest
@@ -318,6 +320,20 @@ def test_pipeline_mirror_side():
     assert rep.stage == "witness"
     for w in rep.witnesses:
         assert w.mirrored
+
+
+def test_pipeline_json_is_pinned():
+    """One sha256 over the strict and relaxed reports of every knot word of
+    exponent <= 12 (334 words, 668 reports): verdicts, stages, witness
+    matrices, their order and their crossings."""
+    reports = [embed.u1_pipeline(w, e).to_json()
+               for w in braid.alt_words(12) if braid.is_knot_closure(w.raw())
+               for e in (True, False)]
+    assert len(reports) == 668
+    digest = hashlib.sha256(
+        json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == ("eab925be22d41b60b936d34bf75ed1e6"
+                      "15d4163efcd4495136ff83b950dd73c7")
 
 
 def test_pipeline_report_roundtrip(w87, w1079):
