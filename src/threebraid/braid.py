@@ -52,7 +52,7 @@ class RawBraidWord:
 
     @classmethod
     def from_json(cls, data):
-        return cls(tuple((g, e) for g, e in data))
+        return cls(_json_pairs(data))
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,15 @@ class AltBraidWord:
 
     @classmethod
     def from_json(cls, data):
-        return cls.canonical(data)
+        return cls.canonical(_json_pairs(data))
+
+
+def _json_pairs(data):
+    """A JSON list of two-entry lists as a tuple of pairs; ValueError else."""
+    if type(data) is not list or any(
+            type(pair) is not list or len(pair) != 2 for pair in data):
+        raise ValueError("a word is a list of pairs")
+    return tuple(tuple(pair) for pair in data)
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,9 @@ class CrossingRef:
 
     @classmethod
     def from_json(cls, data):
-        letter, slot = data["letter"], data["slot"]
+        if type(data) is not dict:
+            raise ValueError("a crossing is an object")
+        letter, slot = data.get("letter"), data.get("slot")
         if type(letter) is not int or type(slot) is not int:
             raise ValueError(f"non-integer crossing ({letter!r}, {slot!r})")
         return cls(letter, slot)

@@ -189,55 +189,28 @@ def form_automorphisms(matrix):
     return tuple(perms)
 
 
-def _canonical_columns(c_rows, xbar):
-    """Canonicalize the tail columns under the stabilizer of the x row.
+def _witness_key(z, xbar, auts):
+    """Class key of a witness: its x tail and the least image of z.
 
-    Columns with equal x values may be permuted; columns with x value zero
-    may also be negated.  Within each block, sign-normalize then sort.
+    A witness is fixed by z and its tail up to a move of the tail columns.
+    Rows (z_i, z_i, c_i) pair as G does exactly when C C^T = P - 2 z z^T,
+    with P = -G, and are orthogonal to x exactly when C xbar = -z.  So two
+    witnesses C, C' with one z and one tail give Q = C^-1 C', integral
+    because det C = +-1, with Q Q^T = I and Q xbar = xbar: a signed
+    permutation fixing x, which is a tail-column move.  The classes are
+    therefore the orbits of z under G-preserving row permutations and the
+    global flip (z, c) -> (-z, -c), which realizes the base change
+    x -> -(x + y) on the surgery block followed by the column
+    renormalization.
     """
-    r = len(xbar)
-    cols = list(zip(*c_rows)) if c_rows else [() for _ in range(r)]
-    blocks = {}
-    for j in range(r):
-        blocks.setdefault(xbar[j], []).append(j)
-    ordered = []
-    for x_val in sorted(blocks):
-        group = []
-        for j in blocks[x_val]:
-            col = cols[j]
-            if x_val == 0:
-                col = max(col, tuple(-v for v in col))
-            group.append(col)
-        ordered.extend(sorted(group, reverse=True))
-    return tuple(ordered)
-
-
-def _witness_key(c_rows, z, xbar, auts):
-    """Dedup key under every symmetry that preserves the witness shape.
-
-    Besides tail column moves and G-preserving row permutations, the key
-    quotients by the global flip (z, c) -> (-z, -c): it realizes the base
-    change x -> -(x + y) on the surgery block followed by the column
-    renormalization, so flipped solutions are the same embedding.
-    """
-    best = None
-    for sign in (1, -1):
-        sc = tuple(tuple(sign * v for v in row) for row in c_rows)
-        sz = tuple(sign * v for v in z)
-        for p in auts:
-            pc = tuple(sc[p[i]] for i in range(len(sc)))
-            pz = tuple(sz[p[i]] for i in range(len(sz)))
-            key = (pz, _canonical_columns(pc, xbar))
-            if best is None or key < best:
-                best = key
-    return (xbar, best)
+    return (xbar, min(tuple(sign * z[j] for j in p)
+                      for sign in (1, -1) for p in auts))
 
 
 def witness_class_key(a, g_matrix):
     """Class key of an embedding matrix, for equality testing in tests."""
-    xbar = a.x_row[2:]
     z = tuple(row[0] for row in a.v_rows)
-    return _witness_key(a.c_block(), z, xbar, form_automorphisms(g_matrix))
+    return _witness_key(z, a.x_row[2:], form_automorphisms(g_matrix))
 
 
 def _assemble(c_rows, z, xbar):
@@ -313,7 +286,7 @@ def criterion_search(form, n, change_making=True):
                 if abs(linalg.det(c_rows)) != 1:
                     return
                 zs = tuple(row[0] for row in rows)
-                key = _witness_key(c_rows, zs, xbar, auts)
+                key = _witness_key(zs, xbar, auts)
                 if key not in found:
                     a = _assemble(c_rows, zs, xbar)
                     _check_witness(a, matrix, n)
@@ -581,6 +554,9 @@ class CriterionWitness:
         }
 
 
+_STAGES = ("sigma_bound", "parity", "search_empty", "change_making", "witness")
+
+
 @dataclass(frozen=True)
 class PipelineReport:
     """Everything the unknotting-number-one decision produced.
@@ -627,30 +603,47 @@ class PipelineReport:
     @classmethod
     def from_json(cls, data):
         """The report to_json wrote.  Nothing is coerced: a field of any
-        other type, a bool for an int included, is a ValueError."""
+        other type, a bool for an int included, is a ValueError.  So is a
+        document no run writes: a missing field, an unknown stage,
+        witnesses on any stage but witness or none on it, a witness matrix
+        that is not square of side at least 3, or n other than
+        (determinant + 1) // 2."""
+        stage = _field(data, "stage", str)
+        if stage not in _STAGES:
+            raise ValueError(f"unknown stage {stage!r}")
         wits = []
-        for w in data["witnesses"]:
-            rows = linalg.freeze(w["matrix"])
+        for w in _field(data, "witnesses", list):
+            rows = linalg.freeze(_field(w, "matrix", list))
+            if len(rows) < 3 or len(rows[0]) != len(rows):
+                raise ValueError("a witness matrix is square, of side >= 3")
+            crossing = _field(w, "crossing", dict, type(None))
             wits.append(CriterionWitness(
                 EmbeddingMatrix(rows, len(rows) - 2),
-                None if w["crossing"] is None
-                else CrossingRef.from_json(w["crossing"]),
+                None if crossing is None else CrossingRef.from_json(crossing),
                 _field(w, "verified", bool), _field(w, "case", str),
                 _field(w, "mirrored", bool)))
-        return cls(AltBraidWord.from_json(data["word"]),
-                   *[_field(data, key, int)
-                     for key in ("sigma", "determinant", "n", "epsilon")],
-                   _field(data, "stage", str), tuple(wits),
+        if bool(wits) != (stage == "witness"):
+            raise ValueError(f"stage {stage} with {len(wits)} witnesses")
+        sigma, det, n, eps = [
+            _field(data, key, int)
+            for key in ("sigma", "determinant", "n", "epsilon")]
+        if n != (det + 1) // 2:
+            raise ValueError(f"n = {n} does not fit determinant {det}")
+        return cls(AltBraidWord.from_json(_field(data, "word", list)),
+                   sigma, det, n, eps, stage, tuple(wits),
                    _field(data, "input_mirrored", bool),
                    _field(data, "note", str),
                    _field(data, "change_making_enforced", bool))
 
 
-def _field(doc, key, kind):
-    """doc[key], which must have exactly the type kind."""
+def _field(doc, key, *kinds):
+    """doc[key], which must be present and of exactly one of the types kinds."""
+    if type(doc) is not dict or key not in doc:
+        raise ValueError(f"the document has no {key} field")
     value = doc[key]
-    if type(value) is not kind:
-        raise ValueError(f"{key} {value!r} is not of type {kind.__name__}")
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"{key} {value!r} is not of type {names}")
     return value
 
 

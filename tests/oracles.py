@@ -25,8 +25,11 @@ compares whole keys over the pinned row orders, is the retired form of
 layers from the seeds: the tests check with it that every member with
 orthogonal marks grows by kind-1 moves alone, a theorem the library no
 longer checks.  `retired_criterion_search`, the plain backtracker that
-scans every row's whole candidate pool, is the retired form of
-`embed.criterion_search`.  `retired_row_candidates`, uncached and
+scans every row's whole candidate pool and keys each class by
+`retired_witness_key`, a canonical form of the tail columns
+(`retired_canonical_columns`) under every row symmetry, is the retired
+form of `embed.criterion_search`, which keys a class by the x tail and
+the orbit of z alone.  `retired_row_candidates`, uncached and
 building a new tuple for every row, is the retired form of
 `embed._row_candidates`, which hands out one shared tuple per distinct
 row.  `signed_column_canonical` is the retired
@@ -656,6 +659,50 @@ def retired_row_candidates(diag, xbar):
     return tuple(out)
 
 
+def retired_canonical_columns(c_rows, xbar):
+    """Canonicalize the tail columns under the stabilizer of the x row.
+
+    Columns with equal x values may be permuted; columns with x value zero
+    may also be negated.  Within each block, sign-normalize then sort.
+    """
+    r = len(xbar)
+    cols = list(zip(*c_rows)) if c_rows else [() for _ in range(r)]
+    blocks = {}
+    for j in range(r):
+        blocks.setdefault(xbar[j], []).append(j)
+    ordered = []
+    for x_val in sorted(blocks):
+        group = []
+        for j in blocks[x_val]:
+            col = cols[j]
+            if x_val == 0:
+                col = max(col, tuple(-v for v in col))
+            group.append(col)
+        ordered.extend(sorted(group, reverse=True))
+    return tuple(ordered)
+
+
+def retired_witness_key(c_rows, z, xbar, auts):
+    """Dedup key under every symmetry that preserves the witness shape.
+
+    Besides tail column moves and G-preserving row permutations, the key
+    quotients by the global flip (z, c) -> (-z, -c): it realizes the base
+    change x -> -(x + y) on the surgery block followed by the column
+    renormalization, so flipped solutions are the same embedding.
+    """
+    best = None
+    for sign in (1, -1):
+        sc = tuple(tuple(sign * v for v in row) for row in c_rows)
+        sz = tuple(sign * v for v in z)
+        for p in auts:
+            pc = tuple(sc[p[i]] for i in range(len(sc)))
+            pz = tuple(sz[p[i]] for i in range(len(sz)))
+            key = (pz, retired_canonical_columns(pc, xbar))
+            if best is None or key < best:
+                best = key
+    return (xbar, best)
+
+
 def retired_criterion_search(form, n, change_making=True):
     """embed.criterion_search as a plain backtracker, kept as its oracle.
 
@@ -692,7 +739,7 @@ def retired_criterion_search(form, n, change_making=True):
                 c_rows = tuple(rows)
                 if abs(linalg.det(c_rows)) != 1:
                     return
-                key = embed._witness_key(c_rows, tuple(zs), xbar, auts)
+                key = retired_witness_key(c_rows, tuple(zs), xbar, auts)
                 if key not in found:
                     a = embed._assemble(c_rows, tuple(zs), xbar)
                     embed._check_witness(a, matrix, n)

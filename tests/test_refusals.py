@@ -201,6 +201,26 @@ def test_refusals_of_the_recorded_cases():
         lambda: embed.PipelineReport.from_json(dict(report, witnesses=[
             dict(witness, matrix=[[1.0] * len(row)
                                   for row in witness["matrix"]])])),
+        lambda: embed.PipelineReport.from_json({}),
+        lambda: embed.PipelineReport.from_json([]),
+        lambda: embed.PipelineReport.from_json(
+            {key: v for key, v in report.items() if key != "note"}),
+        lambda: embed.PipelineReport.from_json(dict(report, stage="bogus")),
+        lambda: embed.PipelineReport.from_json(
+            dict(report, stage="search_empty")),
+        lambda: embed.PipelineReport.from_json(dict(report, witnesses=[])),
+        lambda: embed.PipelineReport.from_json(dict(report, witnesses=[
+            dict(witness, matrix=[[1]])])),
+        lambda: embed.PipelineReport.from_json(dict(report, witnesses=[
+            dict(witness, matrix=witness["matrix"][:-1])])),
+        lambda: embed.PipelineReport.from_json(dict(report, witnesses=[
+            dict(witness, crossing=5)])),
+        lambda: embed.PipelineReport.from_json(dict(report, n=99)),
+        lambda: CrossingRef.from_json({}),
+        lambda: CrossingRef.from_json(5),
+        lambda: AltBraidWord.from_json(5),
+        lambda: AltBraidWord.from_json([5]),
+        lambda: RawBraidWord.from_json(5),
         lambda: expansions.generate_balanced(2.5),
         lambda: braid.alt_words(2.5),
         lambda: embed.embed_form(((-2,),), 2.5),
