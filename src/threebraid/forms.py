@@ -7,12 +7,15 @@ against the i-th basis vector, so characteristic means c_i = M_ii mod 2.
 All values are exact (integer scores c adj(M) c^T, ints and Fractions);
 there is no floating point in this module.
 
-The correction-term convention is that of d_table_sharp, which also
-gives the unknot's table from the twist knot forms: label 0 carries +1/2
-when the determinant is 3 mod 4.  Only differences of tables enter the
-symmetry test, so the overall sign convention cancels there.  The test
-is decided on the integer quarters 4D*d of the tables (DTable.quarters);
-Fractions remain only in the DTable values that are printed.
+The correction-term convention is that of d_table_sharp: label 0
+carries +1/2 when the determinant is 3 mod 4.  The unknot's table, that
+of the lens space L(D, 2) = -D/2 surgery on the unknot, is the closed
+form _unknot_quarters, which equals d_table_sharp of the twist knot form
+(the tests keep that walk as its oracle).  Only differences of tables
+enter the symmetry test, so the overall sign convention cancels there.
+The test is decided on the integer quarters 4D*d of the tables
+(DTable.quarters); Fractions remain only in the DTable values that are
+printed.
 """
 
 from dataclasses import dataclass
@@ -181,19 +184,6 @@ def d_table_sharp(m):
     covectors c in every class restricting to t; the label of a covector
     divides its cokernel class by 2.  Needs odd determinant and cyclic
     cokernel.
-    """
-    coker = coker_map(m)
-    D = coker.order
-    if D % 2 == 0:
-        raise ValueError("discriminant must be odd")
-    if not coker.is_cyclic:
-        raise NonCyclicCokernel(coker.invariant_factors)
-    return _sharp_table(coker.matrix, D, coker.label_row)
-
-
-def _sharp_table(m, D, label_row):
-    """d_table_sharp of a negative definite m whose cokernel is cyclic of
-    odd order D, labelled by label_row; the caller has checked all three.
 
     The maxima are taken over the box M_ii <= c_i <= -M_ii, which holds a
     square-maximizer of every cokernel class: a characteristic covector
@@ -205,10 +195,17 @@ def _sharp_table(m, D, label_row):
     over the fixed coordinates, their row sums against A and their partial
     label, so each innermost step costs O(1).
     """
+    coker = coker_map(m)
+    D = coker.order
+    if D % 2 == 0:
+        raise ValueError("discriminant must be odd")
+    if not coker.is_cyclic:
+        raise NonCyclicCokernel(coker.invariant_factors)
+    m = coker.matrix
     k = len(m)
     a = [[(-1) ** k * x for x in row] for row in linalg.adjugate(m)]
     inv2 = pow(2, -1, D)
-    w = [x * inv2 % D for x in label_row]
+    w = [x * inv2 % D for x in coker.label_row]
     axes = [range(m[i][i], -m[i][i] + 1, 2) for i in range(k)]
     best = [None] * D
 
@@ -237,17 +234,40 @@ def _sharp_table(m, D, label_row):
 
 
 def d_table_halfint_unknot(D):
-    """Correction terms of -D/2 surgery on the unknot.
+    """Correction terms of -D/2 surgery on the unknot, the lens space L(D, 2).
 
-    The sharp table of the twist knot form with n = (D+1)/2, which is the
-    intersection form of the trace of that surgery.  That form is negative
-    definite with cyclic cokernel of order D, whose covectors (a, b) are
-    labelled a + n*b (CokerMap.label_row), so no cokernel is computed.
+    The closed form _unknot_quarters, as Fractions.  It equals the sharp
+    table of the twist knot form with n = (D+1)/2, the intersection form
+    of the trace of that surgery; the tests keep that box walk as its
+    oracle.
+    """
+    return DTable(D, tuple(Fraction(q, 4 * D) for q in _unknot_quarters(D)))
+
+
+def _unknot_quarters(D):
+    """The integers 4D*d of the unknot table, by label, in closed form.
+
+    The correction terms of L(D, 2) (Ozsvath-Szabo, Adv. Math. 173 (2003),
+    Prop. 4.8), in d_table_sharp's convention.  Let n = (D+1)/2 and t the
+    residue of 2i mod D in (-D/2, D/2); label i gets -2t^2, plus 2D when
+    t and n have the same parity.  Why: on the twist form a characteristic
+    covector (a, 2b), a of the parity of n, has label s/2 with s = a + b,
+    and D c^2 = -2s^2 - 2D b^2.  The best is s = t, since any other
+    s = t (mod D) has s^2 >= t^2 + D, and b = 0 when t has the parity of n,
+    b = +-1 otherwise.
     """
     if type(D) is not int or D < 3 or D % 2 == 0:
         raise ValueError("D must be odd and at least 3")
     n = (D + 1) // 2
-    return _sharp_table(twist_knot_form(n), D, (1, n))
+    out = []
+    for i in range(D):
+        t = 2 * i % D
+        if 2 * t > D:
+            t -= D
+        out.append(-2 * t * t + (2 * D if (t - n) % 2 == 0 else 0))
+    if any(out[i] != out[-i] for i in range(D)):
+        raise TheoremViolation("unknot table breaks conjugation symmetry")
+    return out
 
 
 def halfint_symmetry_test(table, unknot):
@@ -295,8 +315,7 @@ def symmetry_sides(m):
     """
     table = d_table_sharp(m)
     d = table.determinant
-    unknot = d_table_halfint_unknot(d)
-    q, u = table.quarters, unknot.quarters
+    q, u = table.quarters, _unknot_quarters(d)
     return {"table": _symmetric(q, u, d),
             "negated": _symmetric([-x for x in q], u, d)}
 

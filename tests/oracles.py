@@ -15,9 +15,11 @@ covector `covector_square` with its integer score `adjugate_square`, and,
 for partial witnesses, the balance test `is_balanced` and the contraction
 `contract` that undoes an expansion move.  The characteristic box
 `char_box` and the per-point sweep over it, `box_d_table_sharp`, are the
-retired form of `forms.d_table_sharp`, kept as its differential oracle.
-`closed_form_unknot_table`, over the maximizer table `table_maximizers`,
-is the retired closed form of `forms.d_table_halfint_unknot`, and
+retired form of `forms.d_table_sharp`, kept as its differential oracle;
+on the twist forms it is also the oracle of the unknot table
+`forms.d_table_halfint_unknot`, the closed form for the lens space
+L(D, 2).  `closed_form_unknot_table`, over the maximizer table
+`table_maximizers`, is an older, retired closed form of that table, and
 `branched_goeritz_matrix` keeps the rank-1, rank-2 and cycle cases that
 `goeritz.goeritz_3braid` once had.  Likewise `pinned_canonical_form`, which
 compares whole keys over the pinned row orders, is the retired form of

@@ -270,8 +270,8 @@ def test_symmetry_determinant_mismatch():
 
 def test_symmetry_sides_builds_one_unknot_table(monkeypatch, g87_matrix):
     calls = []
-    build = forms.d_table_halfint_unknot
-    monkeypatch.setattr(forms, "d_table_halfint_unknot",
+    build = forms._unknot_quarters
+    monkeypatch.setattr(forms, "_unknot_quarters",
                         lambda d: calls.append(d) or build(d))
     assert forms.symmetry_sides(g87_matrix) == {"table": False,
                                                 "negated": True}
@@ -279,9 +279,10 @@ def test_symmetry_sides_builds_one_unknot_table(monkeypatch, g87_matrix):
 
 
 def test_unknot_table_matches_box_oracle():
-    """The unknot table, built without a cokernel, equals the box sweep of
-    the twist form for every odd D up to the symmetry workload's 255."""
-    for d in range(3, 256, 2):
+    """The unknot table, the closed form for L(D, 2), equals the box sweep
+    of the twist form for every odd D up to 401, past the symmetry
+    workload's 255: `dtable --unknot` takes any odd D."""
+    for d in range(3, 402, 2):
         m = forms.twist_knot_form((d + 1) // 2)
         assert forms.d_table_halfint_unknot(d) == \
             oracles.box_d_table_sharp(m), d
