@@ -207,12 +207,6 @@ def _witness_key(z, xbar, auts):
                       for sign in (1, -1) for p in auts))
 
 
-def witness_class_key(a, g_matrix):
-    """Class key of an embedding matrix, for equality testing in tests."""
-    z = tuple(row[0] for row in a.v_rows)
-    return _witness_key(z, a.x_row[2:], form_automorphisms(g_matrix))
-
-
 def _assemble(c_rows, z, xbar):
     r = len(xbar)
     rows = [(z[i], z[i]) + c_rows[i] for i in range(r)]

@@ -8,7 +8,10 @@ All values are exact (integer scores c adj(M) c^T, ints and Fractions);
 there is no floating point in this module.
 
 The correction-term convention is that of d_table_sharp: label 0
-carries +1/2 when the determinant is 3 mod 4.  The unknot's table, that
+carries +1/2 when the determinant is 3 mod 4.  d_table_sharp walks half
+of the characteristic box, one covector of each pair c, -c, and gives
+each label the better of its own maximum and its conjugate's, since -c
+has the square of c and the conjugate label.  The unknot's table, that
 of the lens space L(D, 2) = -D/2 surgery on the unknot, is the closed
 form _unknot_quarters, which equals d_table_sharp of the twist knot form
 (the tests keep that walk as its oracle).  Only differences of tables
@@ -194,6 +197,17 @@ def d_table_sharp(m):
     over the box fixes c_0, c_1, ... in turn and carries the partial score
     over the fixed coordinates, their row sums against A and their partial
     label, so each innermost step costs O(1).
+
+    The walk covers half the box: the covectors whose first nonzero
+    coordinate is positive, and c = 0 when the box holds it.  Each axis
+    range(M_ii, -M_ii + 1, 2) is symmetric about 0, so -c is in the box
+    with c; the score c A c^T is even in c and the label w.c mod D odd,
+    so -c scores as c at the conjugate label: after the walk each label
+    t takes the better of its own best and the best at -t.  While every
+    fixed coordinate is 0 the next one runs over the nonnegative half of
+    its axis.  An axis whose diagonal entry is odd holds only odd values
+    and no 0, so the zero prefix ends at the first odd diagonal entry,
+    and c = 0 is walked only when every diagonal entry is even.
     """
     coker = coker_map(m)
     D = coker.order
@@ -207,25 +221,33 @@ def d_table_sharp(m):
     inv2 = pow(2, -1, D)
     w = [x * inv2 % D for x in coker.label_row]
     axes = [range(m[i][i], -m[i][i] + 1, 2) for i in range(k)]
+    halves = [range(m[i][i] % 2, -m[i][i] + 1, 2) for i in range(k)]
     best = [None] * D
 
-    def walk(t, q, lin, lab):
+    def walk(t, q, lin, lab, zero):
         # q = sum over i, j < t of c_i A_ij c_j, lin_j = sum over i < t of
-        # c_i A_ij, lab = sum over i < t of w_i c_i
+        # c_i A_ij, lab = sum over i < t of w_i c_i; zero: c_i = 0 for i < t
         row, att, wt, twice = a[t], a[t][t], w[t], 2 * lin[t]
+        axis = halves[t] if zero else axes[t]
         if t == k - 1:
-            for c in axes[t]:
+            for c in axis:
                 sq = q + c * (twice + att * c)
                 label = (lab + wt * c) % D
                 if best[label] is None or sq > best[label]:
                     best[label] = sq
             return
-        for c in axes[t]:
+        for c in axis:
             walk(t + 1, q + c * (twice + att * c),
-                 [x + c * y for x, y in zip(lin, row)], lab + wt * c)
+                 [x + c * y for x, y in zip(lin, row)], lab + wt * c,
+                 zero and not c)
 
     if k:
-        walk(0, 0, [0] * k, 0)
+        walk(0, 0, [0] * k, 0, True)
+        # -c scores as c at the conjugate label
+        for t in range(1, D):
+            b = best[-t]
+            if b is not None and (best[t] is None or b > best[t]):
+                best[t] = b
     else:
         best = [0]          # the empty form: one covector, c = ()
     if any(b is None for b in best):

@@ -31,7 +31,8 @@ scans every row's whole candidate pool and keys each class by
 `retired_witness_key`, a canonical form of the tail columns
 (`retired_canonical_columns`) under every row symmetry, is the retired
 form of `embed.criterion_search`, which keys a class by the x tail and
-the orbit of z alone.  `retired_row_candidates`, uncached and
+the orbit of z alone; `witness_class_key` reads that key off a finished
+embedding matrix, so tests can compare classes.  `retired_row_candidates`, uncached and
 building a new tuple for every row, is the retired form of
 `embed._row_candidates`, which hands out one shared tuple per distinct
 row.  `signed_column_canonical` is the retired
@@ -703,6 +704,13 @@ def retired_witness_key(c_rows, z, xbar, auts):
             if best is None or key < best:
                 best = key
     return (xbar, best)
+
+
+def witness_class_key(a, g_matrix):
+    """The library's class key (embed._witness_key) of an embedding matrix."""
+    z = tuple(row[0] for row in a.v_rows)
+    return embed._witness_key(z, a.x_row[2:],
+                              embed.form_automorphisms(g_matrix))
 
 
 def retired_criterion_search(form, n, change_making=True):

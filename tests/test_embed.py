@@ -25,8 +25,8 @@ def test_criterion_8_7(w87, g87_matrix):
     sols = embed.criterion_search(g, 12)
     assert len(sols) == 1
     displayed = EmbeddingMatrix(A87, 3)
-    assert embed.witness_class_key(sols[0], g87_matrix) == \
-        embed.witness_class_key(displayed, g87_matrix)
+    assert oracles.witness_class_key(sols[0], g87_matrix) == \
+        oracles.witness_class_key(displayed, g87_matrix)
 
 
 def test_criterion_10_79(w1079, g1079_matrix):
@@ -36,8 +36,8 @@ def test_criterion_10_79(w1079, g1079_matrix):
     assert len(relaxed) == 1
     assert tuple(sorted(relaxed[0].x_row[2:])) == (2, 2, 2, 3, 3)
     displayed = EmbeddingMatrix(A1079, 5)
-    assert embed.witness_class_key(relaxed[0], g1079_matrix) == \
-        embed.witness_class_key(displayed, g1079_matrix)
+    assert oracles.witness_class_key(relaxed[0], g1079_matrix) == \
+        oracles.witness_class_key(displayed, g1079_matrix)
 
 
 def test_criterion_trefoil_vs_exhaustive():
@@ -46,16 +46,16 @@ def test_criterion_trefoil_vs_exhaustive():
     assert sols
     raw = oracles.exhaustive_criterion(g, 2)
     assert raw
-    keys = {embed.witness_class_key(EmbeddingMatrix(a, 1), g) for a in raw}
-    assert keys == {embed.witness_class_key(a, g) for a in sols}
+    keys = {oracles.witness_class_key(EmbeddingMatrix(a, 1), g) for a in raw}
+    assert keys == {oracles.witness_class_key(a, g) for a in sols}
 
 
 def test_criterion_fig8_vs_exhaustive():
     g = goeritz.goeritz_3braid(AltBraidWord(((1, 1), (1, 1)))).matrix
     sols = embed.criterion_search(g, 3)
     raw = oracles.exhaustive_criterion(g, 3)
-    keys = {embed.witness_class_key(EmbeddingMatrix(a, 2), g) for a in raw}
-    assert keys == {embed.witness_class_key(a, g) for a in sols}
+    keys = {oracles.witness_class_key(EmbeddingMatrix(a, 2), g) for a in raw}
+    assert keys == {oracles.witness_class_key(a, g) for a in sols}
     assert sols
 
 
@@ -300,7 +300,7 @@ def test_pipeline_10_79(w1079):
     assert rep.witnesses == ()
     relaxed = embed.u1_pipeline(w1079, enforce_change_making=False)
     assert relaxed.stage == "witness"
-    assert len({embed.witness_class_key(w.matrix,
+    assert len({oracles.witness_class_key(w.matrix,
                 goeritz.goeritz_3braid(w1079).matrix)
                 for w in relaxed.witnesses if not w.mirrored}) == 1
 

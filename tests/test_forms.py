@@ -107,14 +107,23 @@ def test_dtable_sharp_noncyclic():
 
 
 def test_dtable_sharp_matches_box_oracle():
-    """The incremental walk equals the per-point box sweep it replaced.
+    """The half-box walk equals the per-point sweep of the whole box.
 
     Knot words of exponent <= 12 with r <= 5 and a cyclic cokernel, the
-    twist forms n <= 100, the rank-1 forms of odd determinant up to 9 and
-    the empty form.
+    twist forms n <= 100, the rank-1 forms of odd determinant up to 9, the
+    empty form, -I_k for k = 2..5 (no axis holds 0) and -E8 (every axis
+    holds 0, so the zero prefix runs to the last coordinate).
     """
     cases = [forms.twist_knot_form(n) for n in range(1, 101)]
     cases += [((-d,),) for d in range(1, 10, 2)] + [()]
+    cases += [tuple(tuple(-(i == j) for j in range(k)) for i in range(k))
+              for k in range(2, 6)]
+    # E8: a chain of seven nodes with an eighth joined to the fifth
+    e8 = {(i, i + 1) for i in range(6)} | {(4, 7)}
+    cases.append(tuple(tuple(-2 if i == j else int((i, j) in e8
+                                                   or (j, i) in e8)
+                             for j in range(8)) for i in range(8)))
+    assert linalg.det(cases[-1]) == 1
     words = 0
     for word in braid.alt_words(12):
         if not braid.is_knot_closure(word.raw()):
