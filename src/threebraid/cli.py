@@ -108,8 +108,8 @@ def _u1_matrix(args):
     d = goeritz.determinant(form)
     # refuses an even D, and a D not congruent to sigma + 1 mod 4; a bare
     # matrix has no word, so no s-invariant
-    n = goeritz.InvariantRecord(d, args.sigma, None, (d + 1) // 2).n
-    stage, sols = embed.search_stage(form, n, not args.no_change_making)
+    n = goeritz.InvariantRecord(d, args.sigma, None).n
+    stage, sols = embed.search_stage(form, not args.no_change_making)
     doc = {"determinant": d, "sigma": args.sigma, "n": n,
            "stage": stage, "witnesses": [a.to_json() for a in sols],
            "note": "external matrix: no diagram, so no crossing extraction; "
@@ -268,12 +268,12 @@ def cmd_pretzel_check(args):
     a2 = next(b for b in classes[6] if b != _pad(a1, 6))
     full = {(i,) for i in range(coker.order)}
     for n in (5, 6, 7, 8):
-        cov = forms.one_vector_coverage(_pad(a1, n), m)
+        cov = forms.one_vector_coverage(_pad(a1, n))
         doc["coverage"][f"A1@{n}"] = sorted(c[0] for c in cov)
         ok = ok and len(full - cov) == 6
         lines.append(f"A1 width {n}: misses {len(full - cov)} of {coker.order}")
     for n in (6, 7, 8):
-        cov = forms.one_vector_coverage(_pad(a2, n), m)
+        cov = forms.one_vector_coverage(_pad(a2, n))
         doc["coverage"][f"A2@{n}"] = sorted(c[0] for c in cov)
         ok = ok and full - cov == {(0,)}
         lines.append(f"A2 width {n}: misses {sorted(c[0] for c in full - cov)}")

@@ -133,8 +133,6 @@ def _row_candidates(diag, xbar):
     entries = [0] * r
 
     def rec(idx, q, s):
-        if q > diag:
-            return
         if idx == first_zero:
             need = diag - q - 2 * s * s
             if need < 0:
@@ -215,15 +213,15 @@ def _assemble(c_rows, z, xbar):
     return EmbeddingMatrix(tuple(rows), r)
 
 
-def criterion_search(form, n, change_making=True):
-    """All witness matrices for a Goeritz form and determinant 2n-1.
+def criterion_search(form, change_making=True):
+    """All witness matrices for a Goeritz form of determinant D = 2n-1.
 
     Returns canonical representatives (deterministically ordered) of every
     A with -A A^T = G + R_n whose rows have the prescribed shape, with
     det(C) = +-1, up to signed permutation of the tail columns and
     G-preserving row permutations.  With change_making=False the chain
-    condition on the x tail is not imposed.  A raw matrix must be
-    symmetric and negative definite (ValueError otherwise).
+    condition on the x tail is not imposed.  D must be odd and at least 3,
+    and a raw matrix symmetric and negative definite (else ValueError).
 
     The backtracker forward-checks: within one x tail each candidate
     carries its full row (z, z) + c, and the candidates of a row that fit
@@ -240,10 +238,10 @@ def criterion_search(form, n, change_making=True):
         if not linalg.is_negative_definite(matrix):
             raise ValueError("matrix is not negative definite")
     r = len(matrix)
-    if n < 2:
-        raise ValueError("need n >= 2 (determinant at least 3)")
-    if abs(linalg.det(matrix)) != 2 * n - 1:
-        raise ValueError("determinant of the form does not equal 2n - 1")
+    d = abs(linalg.det(matrix))
+    if d < 3 or d % 2 == 0:
+        raise ValueError(f"need an odd determinant 2n - 1 with n >= 2, not {d}")
+    n = (d + 1) // 2
     diag = [-matrix[i][i] for i in range(r)]
     auts = form_automorphisms(matrix)
 
@@ -310,16 +308,16 @@ def criterion_search(form, n, change_making=True):
     return tuple(found[k] for k in sorted(found))
 
 
-def search_stage(form, n, enforce_change_making):
-    """(stage, matrices) of the embedding search for determinant 2n-1.
+def search_stage(form, enforce_change_making):
+    """(stage, matrices) of the embedding search on a form.
 
     witness returns the matrices found; an empty search under the chain is
     re-run without it, to tell change_making from search_empty.
     """
-    sols = criterion_search(form, n, change_making=enforce_change_making)
+    sols = criterion_search(form, change_making=enforce_change_making)
     if sols:
         return "witness", sols
-    if enforce_change_making and criterion_search(form, n, change_making=False):
+    if enforce_change_making and criterion_search(form, change_making=False):
         return "change_making", ()
     return "search_empty", ()
 
@@ -370,8 +368,6 @@ def embed_form(m, n_cols):
         entry = [0] * n_cols
 
         def rec(j, q):
-            if q > diag[i]:
-                return
             if j == n_cols:
                 if q == diag[i]:
                     cand = tuple(entry)
@@ -549,6 +545,8 @@ class CriterionWitness:
 
 
 _STAGES = ("sigma_bound", "parity", "search_empty", "change_making", "witness")
+_NOTES = {"sigma_bound": "|signature| exceeds 2, so u >= 2",
+          "parity": "determinant one: the closure is already the unknot"}
 
 
 @dataclass(frozen=True)
@@ -558,26 +556,39 @@ class PipelineReport:
     stage is how far the input survived: sigma_bound (|sigma| > 2) and
     parity (determinant one: the unknot) need no search; search_empty and
     change_making are obstructions from the embedding stage; witness
-    certifies u(K) = 1 with a verified crossing.  epsilon is the surgery
-    sign (-1)^(sigma/2) for the mirrored representative actually searched.
+    certifies u(K) = 1 with a verified crossing.  The other keys of
+    to_json follow from these fields: n from D = 2n - 1; epsilon is the
+    surgery sign (-1)^(sigma/2) of the side searched, whose signature is
+    |sigma|, and 0 past the signature bound; the input was mirrored
+    exactly when sigma = -2; the note is the stage's.
     """
 
     word: AltBraidWord
     sigma: int
     determinant: int
-    n: int
-    epsilon: int
     stage: str
     witnesses: tuple
-    input_mirrored: bool = False
-    note: str = ""
     change_making_enforced: bool = True
 
     @property
+    def n(self):
+        return (self.determinant + 1) // 2
+
+    @property
+    def epsilon(self):
+        return (-1) ** (abs(self.sigma) // 2) if abs(self.sigma) <= 2 else 0
+
+    @property
+    def input_mirrored(self):
+        return self.sigma == -2
+
+    @property
+    def note(self):
+        return _NOTES.get(self.stage, "")
+
+    @property
     def verdict(self):
-        if self.stage == "witness":
-            return "witness"
-        return "obstructed"
+        return "witness" if self.stage == "witness" else "obstructed"
 
     def to_json(self):
         return {
@@ -600,8 +611,8 @@ class PipelineReport:
         other type, a bool for an int included, is a ValueError.  So is a
         document no run writes: a missing field, an unknown stage,
         witnesses on any stage but witness or none on it, a witness matrix
-        that is not square of side at least 3, or n other than
-        (determinant + 1) // 2."""
+        that is not square of side at least 3, or an n, epsilon, verdict,
+        input_mirrored or note other than the one the report gives."""
         stage = _field(data, "stage", str)
         if stage not in _STAGES:
             raise ValueError(f"unknown stage {stage!r}")
@@ -618,16 +629,16 @@ class PipelineReport:
                 _field(w, "mirrored", bool)))
         if bool(wits) != (stage == "witness"):
             raise ValueError(f"stage {stage} with {len(wits)} witnesses")
-        sigma, det, n, eps = [
-            _field(data, key, int)
-            for key in ("sigma", "determinant", "n", "epsilon")]
-        if n != (det + 1) // 2:
-            raise ValueError(f"n = {n} does not fit determinant {det}")
-        return cls(AltBraidWord.from_json(_field(data, "word", list)),
-                   sigma, det, n, eps, stage, tuple(wits),
-                   _field(data, "input_mirrored", bool),
-                   _field(data, "note", str),
-                   _field(data, "change_making_enforced", bool))
+        report = cls(AltBraidWord.from_json(_field(data, "word", list)),
+                     _field(data, "sigma", int),
+                     _field(data, "determinant", int), stage, tuple(wits),
+                     _field(data, "change_making_enforced", bool))
+        for key in ("n", "epsilon", "verdict", "input_mirrored", "note"):
+            value = getattr(report, key)
+            if _field(data, key, type(value)) != value:
+                raise ValueError(f"{key} {data[key]!r} does not follow from "
+                                 f"the report, which gives {value!r}")
+        return report
 
 
 def _field(doc, key, *kinds):
@@ -651,20 +662,16 @@ def u1_pipeline(word, enforce_change_making=True):
     """
     word = AltBraidWord.canonical(word.pairs)
     rec = invariants(word)
-    sigma0, n = rec.signature, rec.n
+    sigma0 = rec.signature
 
-    def report(stage, witnesses=(), mirrored=False, note="", sigma=sigma0):
-        eps = (-1) ** (sigma // 2) if abs(sigma) <= 2 else 0
-        return PipelineReport(word, sigma0, rec.determinant, n, eps, stage,
-                              tuple(witnesses), mirrored, note,
-                              enforce_change_making)
+    def report(stage, witnesses=()):
+        return PipelineReport(word, sigma0, rec.determinant, stage,
+                              tuple(witnesses), enforce_change_making)
 
     if abs(sigma0) > 2:
-        return report("sigma_bound",
-                      note="|signature| exceeds 2, so u >= 2")
+        return report("sigma_bound")
     if rec.determinant == 1:
-        return report("parity",
-                      note="determinant one: the closure is already the unknot")
+        return report("parity")
 
     mirrored_input = sigma0 < 0
     work = mirror_word(word) if mirrored_input else word
@@ -681,7 +688,7 @@ def u1_pipeline(word, enforce_change_making=True):
     stages = []
     for side_word, side_mirrored in sides:
         g = goeritz_3braid(side_word)
-        stage, sols = search_stage(g, n, enforce_change_making)
+        stage, sols = search_stage(g, enforce_change_making)
         stages.append(stage)
         for a in sols:
             crossing = None
@@ -703,8 +710,8 @@ def u1_pipeline(word, enforce_change_making=True):
 
     if witnesses and (not enforce_change_making
                       or all(w.verified for w in witnesses)):
-        return report("witness", witnesses, mirrored_input, sigma=sigma)
+        return report("witness", witnesses)
     if witnesses:
         raise TheoremViolation("witness found but its crossing failed to verify")
     stage = "change_making" if "change_making" in stages else "search_empty"
-    return report(stage, (), mirrored_input, sigma=sigma)
+    return report(stage)

@@ -292,20 +292,17 @@ def _unknot_quarters(D):
     return out
 
 
-def halfint_symmetry_test(table, unknot):
-    """Correction-term symmetry test against the unknot table.
+def halfint_symmetry_test(table):
+    """Correction-term symmetry test against the unknot table of the same D.
 
-    `unknot` is d_table_halfint_unknot(D) for the table's determinant D.
     True iff some unit relabelling i -> u*i of the candidate table makes
-    the differences against the unknot table symmetric about k, where
-    D = 2n - 1 and n = 2k or 2k + 1; label 0 joins the checks only for odd
-    n.  Quantifying over units keeps the obstruction conservative: a False
-    here is certain.
+    the differences against the table of -D/2 surgery on the unknot
+    symmetric about k, where D = 2n - 1 >= 3 and n = 2k or 2k + 1; label 0
+    joins the checks only for odd n.  Quantifying over units keeps the
+    obstruction conservative: a False here is certain.
     """
-    D = unknot.determinant
-    if table.determinant != D:
-        raise ValueError("table determinant mismatch")
-    return _symmetric(table.quarters, unknot.quarters, D)
+    D = table.determinant
+    return _symmetric(table.quarters, _unknot_quarters(D), D)
 
 
 def _symmetric(q, u, D):
@@ -342,22 +339,17 @@ def symmetry_sides(m):
             "negated": _symmetric([-x for x in q], u, d)}
 
 
-def one_vector_coverage(a, m):
+def one_vector_coverage(a):
     """Cokernel classes hit by (row pairings with) sign vectors.
 
     Returns the set of classes of (a . alpha) over alpha in {-1, +1}^N, as
-    class tuples of coker(M).  Computed by a subset sweep over the group:
-    the reachable set after each column is folded in stays inside the
-    finite cokernel, so the run is linear in N times the group order.
+    class tuples of coker(M) for the form M = -A A^T of the embedding a.
+    Computed by a subset sweep over the group: the reachable set after
+    each column is folded in stays inside the finite cokernel, so the run
+    is linear in N times the group order.
     """
-    m = linalg.freeze(m)
     a = linalg.freeze(a)
-    k = len(m)
-    if len(a) != k:
-        raise ValueError("row count mismatch")
-    if linalg.neg(linalg.gram(a)) != m:
-        raise ValueError("Gram mismatch: -A A^T != M")
-    coker = coker_map(m)
+    coker = coker_map(linalg.neg(linalg.gram(a)))
     cols = list(zip(*a))
     col_classes = [coker.class_of(col) for col in cols]
     factors = coker.invariant_factors

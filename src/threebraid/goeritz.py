@@ -162,13 +162,14 @@ class InvariantRecord:
     determinant: int
     signature: int
     s_invariant: int
-    n: int
+
+    @property
+    def n(self):
+        return (self.determinant + 1) // 2
 
     def __post_init__(self):
         if self.determinant % 2 == 0:
             raise ValueError("knot determinant must be odd")
-        if self.determinant != 2 * self.n - 1:
-            raise ValueError("determinant / n mismatch")
         if (self.determinant - self.signature - 1) % 4:
             raise ValueError(f"no knot has determinant {self.determinant} and "
                              f"signature {self.signature}: "
@@ -181,8 +182,7 @@ def invariants(word):
         raise ValueError("closure is not a knot")
     det = determinant(goeritz_3braid(word))
     sigma = signature_normal_form(0, word)
-    return InvariantRecord(det, sigma, s_invariant_normal_form(0, word),
-                           (det + 1) // 2)
+    return InvariantRecord(det, sigma, s_invariant_normal_form(0, word))
 
 
 def load_goeritz_json(text):

@@ -50,7 +50,7 @@ def test_acceptance_2_ten_seventy_nine():
     rep = embed.u1_pipeline(W1079)
     assert rep.stage == "change_making"
     g = goeritz.goeritz_3braid(W1079)
-    relaxed = embed.criterion_search(g, 31, change_making=False)
+    relaxed = embed.criterion_search(g, change_making=False)
     assert len(relaxed) == 1
     assert tuple(sorted(relaxed[0].x_row[2:])) == (2, 2, 2, 3, 3)
     assert oracles.witness_class_key(relaxed[0], g.matrix) == \
@@ -92,10 +92,10 @@ def test_acceptance_4_pretzel_computed():
     assert order == 9
     full = {(i,) for i in range(order)}
     for n in (5, 6, 7, 8):
-        cov = forms.one_vector_coverage(oracles.pretzel_embedding(1, n), m)
+        cov = forms.one_vector_coverage(oracles.pretzel_embedding(1, n))
         assert len(full - cov) == 6, n
     for n in (6, 7, 8):
-        cov = forms.one_vector_coverage(oracles.pretzel_embedding(2, n), m)
+        cov = forms.one_vector_coverage(oracles.pretzel_embedding(2, n))
         assert full - cov == {(0,)}, n
     elapsed = time.time() - t0
     assert elapsed < 60
@@ -114,7 +114,7 @@ def test_acceptance_4_pretzel_stated_count():
     """
     m = forms.PRETZEL_FORM
     order = forms.coker_map(m).order
-    cov = forms.one_vector_coverage(oracles.pretzel_embedding(1, 5), m)
+    cov = forms.one_vector_coverage(oracles.pretzel_embedding(1, 5))
     missed = order - len(cov)
     print(f"\ncriterion 4 (stated count): FAIL expected -- "
           f"group order {order}, missed {missed} (stated: 25 and 20)")
@@ -219,7 +219,7 @@ def test_acceptance_7_property_suites():
         sigma = goeritz.signature_normal_form(0, word)
         if d == 1 or sigma not in (0, 2):
             continue
-        for a in embed.criterion_search(g, (d + 1) // 2):
+        for a in embed.criterion_search(g):
             assert abs(linalg.det(a.rows)) == d
             assert abs(linalg.det(a.c_block())) == 1
 

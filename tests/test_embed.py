@@ -22,7 +22,7 @@ def test_change_making():
 
 def test_criterion_8_7(w87, g87_matrix):
     g = goeritz.goeritz_3braid(w87)
-    sols = embed.criterion_search(g, 12)
+    sols = embed.criterion_search(g)
     assert len(sols) == 1
     displayed = EmbeddingMatrix(A87, 3)
     assert oracles.witness_class_key(sols[0], g87_matrix) == \
@@ -31,8 +31,8 @@ def test_criterion_8_7(w87, g87_matrix):
 
 def test_criterion_10_79(w1079, g1079_matrix):
     g = goeritz.goeritz_3braid(w1079)
-    assert embed.criterion_search(g, 31) == ()
-    relaxed = embed.criterion_search(g, 31, change_making=False)
+    assert embed.criterion_search(g) == ()
+    relaxed = embed.criterion_search(g, change_making=False)
     assert len(relaxed) == 1
     assert tuple(sorted(relaxed[0].x_row[2:])) == (2, 2, 2, 3, 3)
     displayed = EmbeddingMatrix(A1079, 5)
@@ -42,7 +42,7 @@ def test_criterion_10_79(w1079, g1079_matrix):
 
 def test_criterion_trefoil_vs_exhaustive():
     g = ((-3,),)
-    sols = embed.criterion_search(g, 2)
+    sols = embed.criterion_search(g)
     assert sols
     raw = oracles.exhaustive_criterion(g, 2)
     assert raw
@@ -52,7 +52,7 @@ def test_criterion_trefoil_vs_exhaustive():
 
 def test_criterion_fig8_vs_exhaustive():
     g = goeritz.goeritz_3braid(AltBraidWord(((1, 1), (1, 1)))).matrix
-    sols = embed.criterion_search(g, 3)
+    sols = embed.criterion_search(g)
     raw = oracles.exhaustive_criterion(g, 3)
     keys = {oracles.witness_class_key(EmbeddingMatrix(a, 2), g) for a in raw}
     assert keys == {oracles.witness_class_key(a, g) for a in sols}
@@ -61,9 +61,7 @@ def test_criterion_fig8_vs_exhaustive():
 
 def test_criterion_input_validation(g87_matrix):
     with pytest.raises(ValueError):
-        embed.criterion_search(g87_matrix, 11)   # determinant mismatch
-    with pytest.raises(ValueError):
-        embed.criterion_search(((-1,),), 1)
+        embed.criterion_search(((-1,),))
 
 
 @pytest.mark.parametrize("matrix, message", [
@@ -73,12 +71,12 @@ def test_criterion_input_validation(g87_matrix):
 def test_criterion_refuses_malformed_raw_forms(matrix, message):
     """Both have determinant 3 = 2n - 1 at n = 2; neither is a Goeritz form."""
     with pytest.raises(ValueError, match=message):
-        embed.criterion_search(matrix, 2)
+        embed.criterion_search(matrix)
     with pytest.raises(ValueError, match=message):
         embed.embed_form(matrix, 2)
     for enforce in (True, False):
         with pytest.raises(ValueError, match=message):
-            embed.search_stage(matrix, 2, enforce)
+            embed.search_stage(matrix, enforce)
 
 
 def _sweep_sides(monkeypatch):
@@ -86,7 +84,8 @@ def _sweep_sides(monkeypatch):
     exponent <= 12, keyed by (matrix, n)."""
     sides = {}
 
-    def record(form, n, enforce):
+    def record(form, enforce):
+        n = (goeritz.determinant(form) + 1) // 2
         sides.setdefault((form.matrix, n), form)
         return "search_empty", ()
 
@@ -104,7 +103,7 @@ def test_criterion_matches_retired_loop(monkeypatch):
     found = 0
     for (_, n), form in _sweep_sides(monkeypatch).items():
         for change_making in (True, False):
-            sols = embed.criterion_search(form, n, change_making)
+            sols = embed.criterion_search(form, change_making)
             assert sols == oracles.retired_criterion_search(
                 form, n, change_making)
             found += len(sols)
@@ -142,7 +141,7 @@ def test_witness_invariants():
         sigma = goeritz.signature_normal_form(0, word)
         if d == 1 or sigma not in (0, 2) or (d - sigma - 1) % 4:
             continue
-        for a in embed.criterion_search(g, (d + 1) // 2):
+        for a in embed.criterion_search(g):
             assert abs(linalg.det(a.rows)) == d
             assert abs(linalg.det(a.c_block())) == 1
             gram = linalg.neg(linalg.gram(a.rows))
@@ -229,7 +228,7 @@ def test_extract_sigma2_uniqueness_violation(w87):
 def test_normalize_sigma0_fig8():
     word = AltBraidWord(((1, 1), (1, 1)))
     g = goeritz.goeritz_3braid(word)
-    sols = embed.criterion_search(g, 3)
+    sols = embed.criterion_search(g)
     assert sols
     norm, ref = embed.normalize_sigma0_and_extract(sols[0], g)
     assert norm.y_row == (1, 1, 0, 0)

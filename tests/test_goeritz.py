@@ -150,9 +150,9 @@ def test_invariant_record(w87):
     rec = goeritz.invariants(w87)
     assert (rec.determinant, rec.signature, rec.n) == (23, 2, 12)
     with pytest.raises(ValueError, match=r"sigma \+ 1 \(mod 4\)"):
-        goeritz.InvariantRecord(23, 0, 0, 12)   # wrong parity link
+        goeritz.InvariantRecord(23, 0, 0)   # wrong parity link
     with pytest.raises(ValueError):
-        goeritz.InvariantRecord(24, 2, 0, 12)   # even determinant
+        goeritz.InvariantRecord(24, 2, 0)   # even determinant
 
 
 def test_json_ingestion(g87_matrix):

@@ -162,11 +162,13 @@ def test_malformed_table_json_is_refused(table, data):
         forms.DTable.from_json(doc)
 
 
-def test_refusals_of_the_recorded_cases():
-    """Inputs that used to be coerced or to fail with other errors."""
+def test_refusals_of_the_recorded_cases(w87):
+    """Inputs that used to be coerced or to fail with other errors, or to
+    be accepted."""
     unknot = forms.d_table_halfint_unknot(3)
     doc = unknot.to_json()
     report = embed.u1_pipeline(AltBraidWord(((2, 1), (1, 2)))).to_json()
+    r87 = embed.u1_pipeline(w87).to_json()
     assert report["witnesses"]
     witness = report["witnesses"][0]
     cases = [
@@ -216,6 +218,13 @@ def test_refusals_of_the_recorded_cases():
         lambda: embed.PipelineReport.from_json(dict(report, witnesses=[
             dict(witness, crossing=5)])),
         lambda: embed.PipelineReport.from_json(dict(report, n=99)),
+        lambda: embed.PipelineReport.from_json(dict(r87, epsilon=7)),
+        lambda: embed.PipelineReport.from_json(dict(r87, epsilon=1)),
+        lambda: embed.PipelineReport.from_json(dict(r87, verdict="obstructed")),
+        lambda: embed.PipelineReport.from_json(
+            {key: v for key, v in r87.items() if key != "verdict"}),
+        lambda: embed.PipelineReport.from_json(dict(r87, input_mirrored=True)),
+        lambda: embed.PipelineReport.from_json(dict(r87, note="x")),
         lambda: CrossingRef.from_json({}),
         lambda: CrossingRef.from_json(5),
         lambda: AltBraidWord.from_json(5),
@@ -230,5 +239,6 @@ def test_refusals_of_the_recorded_cases():
     for case in cases:
         with pytest.raises(ValueError):
             case()
-    assert embed.PipelineReport.from_json(report).to_json() == report
+    for good in (report, r87):
+        assert embed.PipelineReport.from_json(good).to_json() == good
     assert linalg.smith_normal_form(((2, 4, 0),))[0] == (2,)

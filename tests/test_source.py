@@ -82,3 +82,65 @@ def test_no_private_names_across_library_modules():
                      and node.value.id in siblings
                      and node.attr.startswith("_"))
     assert found == []
+
+
+def _names_in(node):
+    """Every name a node reads: bare names, attribute names, imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name)
+    return out
+
+
+def test_library_names_no_command_reaches():
+    """The module-level definitions that no CLI command can reach.
+
+    A closure of name references from cli.py: a definition is reached when
+    reached code names it (as a bare name, an attribute or an import),
+    whatever module it is in, so a shared name errs on the side of reached.
+    Library code that no command reaches must be wired in or listed here.
+    """
+    definitions = {}
+    for file, tree in _library_trees():
+        if file in ("cli.py", "__init__.py", "__main__.py"):
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = [t.id for t in (node.targets if isinstance(
+                    node, ast.Assign) else [node.target])
+                           if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in targets:
+                definitions.setdefault(name, []).append(
+                    (f"{file[:-3]}.{name}", node))
+    cli = dict(_library_trees())["cli.py"]
+    todo, seen, reached = list(_names_in(cli)), set(), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for qualified, node in definitions.get(name, ()):
+            reached.add(qualified)
+            todo.extend(_names_in(node))
+    unreached = {qualified for defs in definitions.values()
+                 for qualified, _ in defs} - reached
+    assert unreached == {
+        # the backward generator of unknotting diagrams (ROADMAP item 4)
+        "braid.TaggedDiagram", "braid.canonical_tag",
+        "braid.enumerate_unknotting_words",
+        # the staircase check, read by perfbench (ROADMAP item 7)
+        "expansions.orthogonal_marked_structure", "expansions.BlockStructure",
+        "expansions._staircase_ok", "expansions._block_candidates",
+        "expansions._marks_ok", "expansions.no_orthogonal_completion",
+        # public, but only the tests call them
+        "expansions.expand", "forms.halfint_symmetry_test",
+    }
