@@ -59,9 +59,10 @@ def test_criterion_fig8_vs_exhaustive():
     assert sols
 
 
-def test_criterion_input_validation(g87_matrix):
-    with pytest.raises(ValueError):
-        embed.criterion_search(((-1,),))
+def test_criterion_input_validation():
+    for matrix in (((-1,),), ((-2,),)):     # determinants 1 and 2
+        with pytest.raises(ValueError, match="n >= 2"):
+            embed.criterion_search(matrix)
 
 
 @pytest.mark.parametrize("matrix, message", [
