@@ -11,20 +11,19 @@ unknotting number is not one.
 
 from .braid import (AltBraidWord, CrossingRef, RawBraidWord,
                     almost_alt_unknot_test, alt_canonical, change_crossing,
-                    enumerate_unknotting_words, parse_braid_word,
-                    permutation_class, reduce_almost_alternating,
-                    swap_generators, unknotting_crossings)
+                    parse_braid_word, permutation_class,
+                    reduce_almost_alternating, swap_generators,
+                    unknotting_crossings)
 from .embed import (CriterionWitness, EmbeddingMatrix, PipelineReport,
                     TheoremViolation, change_making_ok, criterion_search,
                     embed_form, extract_crossing_sigma2, normalize_sigma2,
                     normalize_sigma0_and_extract, u1_pipeline,
                     verify_unknotting, word_symmetry_obstruction)
-from .expansions import (PartialEmbedding, expand, generate_balanced,
+from .expansions import (PartialEmbedding, generate_balanced,
                          no_orthogonal_completion,
                          orthogonal_marked_structure)
 from .forms import (DTable, coker_map, d_table_halfint_unknot, d_table_sharp,
-                    halfint_symmetry_test, one_vector_coverage,
-                    twist_knot_form)
+                    one_vector_coverage, twist_knot_form)
 from .goeritz import (GoeritzForm, InvariantRecord, determinant,
                       goeritz_3braid, invariants, load_goeritz_json,
                       mirror_word, s_invariant_normal_form,

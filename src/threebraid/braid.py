@@ -4,9 +4,7 @@ A word is a cyclic sequence of letters ``(generator, exponent)`` with
 generator 1 or 2.  Alternating words have the shape
 ``s1^-a1 s2^b1 ... s1^-am s2^bm`` with all ``a_i, b_i >= 1``; changing a
 single crossing in one produces an almost-alternating word, and a
-rewriting procedure decides whether its closure is the unknot.  The same
-procedure, run backwards, enumerates every alternating diagram that
-contains an unknotting crossing.
+rewriting procedure decides whether its closure is the unknot.
 
 All operations are pure functions on immutable values.
 """
@@ -146,14 +144,6 @@ class ReductionOutcome:
     case: str
     residual: RawBraidWord
     trace: tuple
-
-
-@dataclass(frozen=True)
-class TaggedDiagram:
-    """An alternating word together with one unknotting crossing."""
-
-    word: AltBraidWord
-    crossing: CrossingRef
 
 
 def parse_braid_word(text):
@@ -456,89 +446,3 @@ def unknotting_crossings(word):
     refs = (CrossingRef(idx, 0) for idx in range(2 * word.m))
     return tuple(ref for ref in refs if crossing_change_unknots(word, ref))
 
-
-# --- generation of all unknotting diagrams -------------------------------
-
-def canonical_tag(tag):
-    """Least representative of a tagged diagram under swap/mirror/rotation.
-
-    On the block exponents (a_1, b_1, ..., a_m, b_m) these act as the
-    dihedral group: a rotation of the word shifts the sequence by two
-    blocks, the generator swap by one, and the mirror reverses it, block
-    L going to 2m - 1 - L.  Over every rotation of the sequence and of
-    its reversal, the least (pairs, marked block) is kept whose pairs are
-    their own canonical rotation.  Crossings inside one block are
-    interchangeable, so slot 0 stands for the marked block.  A crossing
-    outside the diagram raises IndexError, as in change_crossing.
-    """
-    exps = tuple(e for pair in tag.word.pairs for e in pair)
-    n, mark = len(exps), tag.crossing.letter_index
-    if not 0 <= mark < n:
-        raise IndexError("crossing letter out of range")
-    if not 0 <= tag.crossing.strand_slot < exps[mark]:
-        raise IndexError("crossing slot out of range")
-    keys = []
-    for seq, at in ((exps, mark), (exps[::-1], n - 1 - mark)):
-        for s in range(n):
-            rot = seq[s:] + seq[:s]
-            pairs = tuple(zip(rot[::2], rot[1::2]))
-            if AltBraidWord.canonical(pairs).pairs == pairs:
-                keys.append((pairs, (at - s) % n))
-    pairs, letter = min(keys)
-    return TaggedDiagram(AltBraidWord(pairs), CrossingRef(letter, 0))
-
-
-def enumerate_unknotting_words(max_total_exponent):
-    """Every alternating diagram with an unknotting crossing, up to symmetry.
-
-    Words are produced by running the unknot rewriting backwards: seed with
-    s1^-1 s2 (plus a cancelling pair inserted somewhere) or s1 s2, then
-    apply the two reverse substitutions breadth-first while the crossing
-    count stays within the bound.  Each almost-alternating word found is
-    converted to its alternating diagram with the changed crossing tagged;
-    the output is deduplicated under rotation, generator swap and mirror.
-    """
-    if type(max_total_exponent) is not int:
-        raise ValueError(f"bound {max_total_exponent!r} is not an integer")
-    if max_total_exponent < 2:
-        raise ValueError("bound must be at least 2")
-    seeds = set()
-    base = (-1, 2)
-    for gap in range(2):
-        for pair in ((1, -1), (-1, 1)):
-            s = list(base[:gap + 1]) + list(pair) + list(base[gap + 1:])
-            seeds.add(_least_rotation(s))
-    seeds.add((1, 2))
-
-    seen = set(seeds)
-    frontier = sorted(seeds)
-    words = list(frontier)
-    while frontier:
-        nxt = []
-        for syms in frontier:
-            if len(syms) + 2 > max_total_exponent:
-                continue
-            for p in range(len(syms)):
-                for pat, short in _PATTERNS:  # grow: occurrences of the short side
-                    grown = _rewrite_at(syms, p, short, pat)
-                    if grown is None:
-                        continue
-                    key = _least_rotation(grown)
-                    if key not in seen:
-                        seen.add(key)
-                        nxt.append(key)
-                        words.append(key)
-        frontier = sorted(nxt)
-
-    tagged = set()
-    for syms in words:
-        if len(syms) > max_total_exponent:
-            continue
-        # the changed crossing, changed back, starts the word, so it is in
-        # block 0; only s1^-1 and s2 crossings remain, and both occur
-        mark = syms.index(1)
-        pairs = _alt_pairs((-1,) + syms[mark + 1:] + syms[:mark])
-        tagged.add(canonical_tag(TaggedDiagram(AltBraidWord(pairs),
-                                               CrossingRef(0, 0))))
-    return tuple(sorted(tagged, key=lambda t: (t.word.pairs,
-                                                t.crossing.letter_index)))

@@ -611,8 +611,9 @@ class PipelineReport:
         other type, a bool for an int included, is a ValueError.  So is a
         document no run writes: a missing field, an unknown stage,
         witnesses on any stage but witness or none on it, a witness matrix
-        that is not square of side at least 3, or an n, epsilon, verdict,
-        input_mirrored or note other than the one the report gives."""
+        that is not square of side at least 3, an n, epsilon, verdict,
+        input_mirrored or note other than the one the report gives, or a
+        witness case, mirrored flag or verification that no run writes."""
         stage = _field(data, "stage", str)
         if stage not in _STAGES:
             raise ValueError(f"unknown stage {stage!r}")
@@ -638,6 +639,14 @@ class PipelineReport:
             if _field(data, key, type(value)) != value:
                 raise ValueError(f"{key} {data[key]!r} does not follow from "
                                  f"the report, which gives {value!r}")
+        for w in wits:
+            if (w.case != ("sigma2" if abs(report.sigma) == 2 else "sigma0")
+                    or report.sigma and w.mirrored != report.input_mirrored
+                    or report.change_making_enforced
+                    and (not w.verified or w.crossing is None)):
+                raise ValueError(
+                    f"no run at sigma {report.sigma} writes a witness "
+                    f"{w.case}, mirrored {w.mirrored}, verified {w.verified}")
         return report
 
 

@@ -228,20 +228,9 @@ def _settle(orders, busy):
         orders = [order for top, order in grouped if top == least]
 
 
-def expand(pe, step):
-    """Apply one expansion move, growing the rank by one.
-
-    kind 1: a column supported only on row `a` (entry 1) splits; row `b`
-            (pairing with `a` at least 1) picks up a new entry.
-    kind 3: a column with entries +1 on `a` and `c` and -1 on `b` splits.
-    Any other kind is a ValueError, and so is a child that is not a
-    member: a malformed parent is refused here, not passed on.
-    """
-    return _validate(_grow(pe, step))
-
-
 def _grow(pe, step):
-    """expand's move with every argument check but no membership check.
+    """One expansion move (see _expansion_steps), growing the rank by one,
+    with every argument check but no membership check.
 
     The child is built from the parent's row tuples: every row gains a 0
     in the new column, rows b and c are rebuilt, and the new row goes in
@@ -547,9 +536,9 @@ def _block_candidates(pe):
 def orthogonal_marked_structure(pe):
     """Exhibit the staircase block form of a member with orthogonal marks.
 
-    Raises ValueError unless pe is a member (the checks of expand) whose
-    marked rows pair to 0; raises TheoremViolation if no row/column
-    reordering realizes the block form.
+    Raises ValueError unless pe is a member whose marked rows pair to 0;
+    raises TheoremViolation if no row/column reordering realizes the block
+    form.
     """
     i, j = _validate(pe).marked_rows()
     if pe.pairing(i, j) != 0:
@@ -579,7 +568,7 @@ def completion_x_tail(pe):
     det(C) = +-1 the tail is the unique solution of C xbar = -z for each
     of the two allowed head sign patterns.  Returns the first solved tail
     whose sorted absolute values obey change-making, else None.  A
-    non-member is refused with the ValueError of expand.
+    non-member is refused with a ValueError.
     """
     c = _validate(pe).c_block()
     if abs(linalg.det(c)) != 1:

@@ -177,7 +177,10 @@ class DTable:
         if wrong:
             raise ValueError(f"label {wrong[0]}: need a value for each "
                              f"label 0..{D - 1} and for no other")
-        return cls(D, tuple(Fraction(values[label]) for label in labels))
+        try:
+            return cls(D, tuple(Fraction(values[label]) for label in labels))
+        except ZeroDivisionError:
+            raise ValueError("a value has denominator 0") from None
 
 
 def d_table_sharp(m):
@@ -292,24 +295,13 @@ def _unknot_quarters(D):
     return out
 
 
-def halfint_symmetry_test(table):
-    """Correction-term symmetry test against the unknot table of the same D.
-
-    True iff some unit relabelling i -> u*i of the candidate table makes
-    the differences against the table of -D/2 surgery on the unknot
-    symmetric about k, where D = 2n - 1 >= 3 and n = 2k or 2k + 1; label 0
-    joins the checks only for odd n.  Quantifying over units keeps the
-    obstruction conservative: a False here is certain.
-    """
-    D = table.determinant
-    return _symmetric(table.quarters, _unknot_quarters(D), D)
-
-
 def _symmetric(q, u, D):
-    """halfint_symmetry_test on the quarters q, u of the two tables.
-
-    Scaling both tables by 4D scales every difference by 4D, so comparing
-    differences of quarters gives exactly the answer on the values.
+    """Correction-term symmetry test on the quarters (values times 4D) q
+    of a candidate table and u of the unknot table of the same D: True
+    iff some unit relabelling i -> unit*i of the candidate makes the
+    differences against u symmetric about k, where D = 2n - 1 >= 3 and
+    n = 2k or 2k + 1; label 0 joins the checks only for odd n.  As it
+    ranges over every unit, a False here is certain.
     """
     n = (D + 1) // 2
     k = n // 2

@@ -44,8 +44,8 @@ and per-entry checks, is the retired form of
 `expansions.goeritz_parameters`, which now reads the Gram matrix through
 `goeritz.goeritz_pairs`.  `retired_canonical_tag`, which moves a marked
 crossing through the swap and the mirror crossing by crossing, is the
-retired form of `braid.canonical_tag`, now a dihedral action on the
-block exponents.  `retired_grow`, which builds each child from lists,
+retired form of `canonical_tag`, now a dihedral action on the block
+exponents.  `retired_grow`, which builds each child from lists,
 `retired_expansion_steps`, which reads the moves pair of rows by pair,
 `retired_shape_key`, which sorts the middle rows by their tails, and
 `retired_class_key`, which reads the marks and the pairings again for
@@ -56,13 +56,27 @@ by column, and on one signature pass per child.  `retired_alt_canonical`,
 which rebuilds every rotation by modular indexing, is the retired form
 of `braid.AltBraidWord.canonical`.  `retired_halfint_symmetry_test`, in
 Fraction arithmetic, and `retired_symmetry_sides`, which builds and tests
-a negated DTable, are the retired forms of `forms.halfint_symmetry_test`
-and `forms.symmetry_sides`, now decided on the integer quarters 4D*d.
+a negated DTable, are the retired forms of `halfint_symmetry_test` and
+`forms.symmetry_sides`, now decided on the integer quarters 4D*d.
+
+Five names once public in the library, which no command runs, live
+here as references the tests check the library against.  The backward
+generator `enumerate_unknotting_words`, with its `TaggedDiagram` and
+the dihedral normal form `canonical_tag`, runs the unknot rewriting in
+reverse: it is the third route, beside the lattice verdict and the
+forward scan `braid.unknotting_crossings`, to the alternating diagrams
+with an unknotting crossing.  `expand`, one expansion move with its
+membership check (`expansions._validate` of `expansions._grow`), and
+`halfint_symmetry_test`, the symmetry test of one table over the
+private core of `forms.symmetry_sides`, give the tests single moves
+and single tables.
+
 `pretzel_embedding` pads the two pretzel embeddings as displayed,
 `PRETZEL_A1` and `PRETZEL_A2`: the reference that `embed.embed_form`'s
 classes of `forms.PRETZEL_FORM`, which `pretzel-check` reads, must match.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, groupby, permutations, product
@@ -70,9 +84,9 @@ from math import gcd, isqrt
 from operator import itemgetter, mul
 
 from threebraid import expansions as xp
-from threebraid import embed, forms, linalg
-from threebraid.braid import (AltBraidWord, CrossingRef, TaggedDiagram,
-                              alt_canonical, symbols_of, word_from_symbols)
+from threebraid import braid, embed, forms, linalg
+from threebraid.braid import (AltBraidWord, CrossingRef, alt_canonical,
+                              symbols_of, word_from_symbols)
 from threebraid.goeritz import GoeritzForm, goeritz_3braid
 from threebraid.linalg import TheoremViolation
 
@@ -528,6 +542,18 @@ def pinned_canonical_form(pe):
     return best
 
 
+def expand(pe, step):
+    """Apply one expansion move, growing the rank by one.
+
+    kind 1: a column supported only on row `a` (entry 1) splits; row `b`
+            (pairing with `a` at least 1) picks up a new entry.
+    kind 3: a column with entries +1 on `a` and `c` and -1 on `b` splits.
+    Any other kind is a ValueError, and so is a child that is not a
+    member: a malformed parent is refused here, not passed on.
+    """
+    return xp._validate(xp._grow(pe, step))
+
+
 def kind1_keys(r):
     """Keys of the rank-r members grown from the rank-2 seeds by kind 1 alone.
 
@@ -542,7 +568,7 @@ def kind1_keys(r):
         for pe in layer.values():
             for step in xp._expansion_steps(pe):
                 if step.kind == 1:
-                    child = xp.expand(pe, step)
+                    child = expand(pe, step)
                     grown.setdefault(pinned_canonical_form(child), child)
         layer = grown
     return frozenset(layer)
@@ -837,6 +863,102 @@ def retired_goeritz_parameters(pe):
     return (tuple(diag[h] - 2 for h in hubs), tuple(b_seq))
 
 
+# --- the backward generator of unknotting diagrams -----------------------
+
+@dataclass(frozen=True)
+class TaggedDiagram:
+    """An alternating word together with one unknotting crossing."""
+
+    word: AltBraidWord
+    crossing: CrossingRef
+
+
+def canonical_tag(tag):
+    """Least representative of a tagged diagram under swap/mirror/rotation.
+
+    On the block exponents (a_1, b_1, ..., a_m, b_m) these act as the
+    dihedral group: a rotation of the word shifts the sequence by two
+    blocks, the generator swap by one, and the mirror reverses it, block
+    L going to 2m - 1 - L.  Over every rotation of the sequence and of
+    its reversal, the least (pairs, marked block) is kept whose pairs are
+    their own canonical rotation.  Crossings inside one block are
+    interchangeable, so slot 0 stands for the marked block.  A crossing
+    outside the diagram raises IndexError, as in change_crossing.
+    """
+    exps = tuple(e for pair in tag.word.pairs for e in pair)
+    n, mark = len(exps), tag.crossing.letter_index
+    if not 0 <= mark < n:
+        raise IndexError("crossing letter out of range")
+    if not 0 <= tag.crossing.strand_slot < exps[mark]:
+        raise IndexError("crossing slot out of range")
+    keys = []
+    for seq, at in ((exps, mark), (exps[::-1], n - 1 - mark)):
+        for s in range(n):
+            rot = seq[s:] + seq[:s]
+            pairs = tuple(zip(rot[::2], rot[1::2]))
+            if AltBraidWord.canonical(pairs).pairs == pairs:
+                keys.append((pairs, (at - s) % n))
+    pairs, letter = min(keys)
+    return TaggedDiagram(AltBraidWord(pairs), CrossingRef(letter, 0))
+
+
+def enumerate_unknotting_words(max_total_exponent):
+    """Every alternating diagram with an unknotting crossing, up to symmetry.
+
+    Words are produced by running the unknot rewriting backwards: seed with
+    s1^-1 s2 (plus a cancelling pair inserted somewhere) or s1 s2, then
+    apply the two reverse substitutions breadth-first while the crossing
+    count stays within the bound.  Each almost-alternating word found is
+    converted to its alternating diagram with the changed crossing tagged;
+    the output is deduplicated under rotation, generator swap and mirror.
+    """
+    if type(max_total_exponent) is not int:
+        raise ValueError(f"bound {max_total_exponent!r} is not an integer")
+    if max_total_exponent < 2:
+        raise ValueError("bound must be at least 2")
+    seeds = set()
+    base = (-1, 2)
+    for gap in range(2):
+        for pair in ((1, -1), (-1, 1)):
+            s = list(base[:gap + 1]) + list(pair) + list(base[gap + 1:])
+            seeds.add(braid._least_rotation(s))
+    seeds.add((1, 2))
+
+    seen = set(seeds)
+    frontier = sorted(seeds)
+    words = list(frontier)
+    while frontier:
+        nxt = []
+        for syms in frontier:
+            if len(syms) + 2 > max_total_exponent:
+                continue
+            for p in range(len(syms)):
+                # grow: occurrences of the short side
+                for pat, short in braid._PATTERNS:
+                    grown = braid._rewrite_at(syms, p, short, pat)
+                    if grown is None:
+                        continue
+                    key = braid._least_rotation(grown)
+                    if key not in seen:
+                        seen.add(key)
+                        nxt.append(key)
+                        words.append(key)
+        frontier = sorted(nxt)
+
+    tagged = set()
+    for syms in words:
+        if len(syms) > max_total_exponent:
+            continue
+        # the changed crossing, changed back, starts the word, so it is in
+        # block 0; only s1^-1 and s2 crossings remain, and both occur
+        mark = syms.index(1)
+        pairs = braid._alt_pairs((-1,) + syms[mark + 1:] + syms[:mark])
+        tagged.add(canonical_tag(TaggedDiagram(AltBraidWord(pairs),
+                                               CrossingRef(0, 0))))
+    return tuple(sorted(tagged, key=lambda t: (t.word.pairs,
+                                                t.crossing.letter_index)))
+
+
 _SWAPMAP = {-1: 2, 2: -1, 1: -2, -2: 1}
 
 
@@ -1012,6 +1134,19 @@ def retired_alt_canonical(pairs):
     best = min(range(m), key=lambda s: tuple(
         (-pairs[(s + i) % m][0], pairs[(s + i) % m][1]) for i in range(m)))
     return AltBraidWord(tuple(pairs[(best + i) % m] for i in range(m)))
+
+
+def halfint_symmetry_test(table):
+    """Correction-term symmetry test against the unknot table of the same D.
+
+    True iff some unit relabelling i -> u*i of the candidate table makes
+    the differences against the table of -D/2 surgery on the unknot
+    symmetric about k, where D = 2n - 1 >= 3 and n = 2k or 2k + 1; label 0
+    joins the checks only for odd n.  Quantifying over units keeps the
+    obstruction conservative: a False here is certain.
+    """
+    D = table.determinant
+    return forms._symmetric(table.quarters, forms._unknot_quarters(D), D)
 
 
 def retired_halfint_symmetry_test(table, unknot):

@@ -213,7 +213,7 @@ def test_canonical_form_matches_permutation_oracle():
     moves = [(pe, step) for pe in seeds + _members(5)
              for step in xp._expansion_steps(pe)]
     assert {step.kind for _, step in moves} == {1, 3}
-    grown = [xp.expand(pe, step) for pe, step in moves]
+    grown = [oracles.expand(pe, step) for pe, step in moves]
     assert max(pe.r for pe in grown) == 6
     for pe in seeds + tuple(grown):
         assert xp.canonical_form(pe) == oracles.permutation_canonical_form(pe)
@@ -228,7 +228,7 @@ def test_canonical_form_matches_pinned_oracle_at_rank_7():
     so do equal retired shape keys, which sort the middle rows by tail
     alone and so part the expansions more finely.
     """
-    grown = [xp.expand(pe, step) for pe in _members(6)
+    grown = [oracles.expand(pe, step) for pe in _members(6)
              for step in xp._expansion_steps(pe)]
     assert len(grown) == 432
     assert max(pe.r for pe in grown) == 7
@@ -336,7 +336,7 @@ def test_class_key_is_complete_at_rank_7():
     fall into 126 classes; each class key meets one pinned key and each
     pinned key one class key.
     """
-    grown = [xp.expand(pe, step) for pe in _members(6)
+    grown = [oracles.expand(pe, step) for pe in _members(6)
              for step in xp._expansion_steps(pe)]
     assert len(grown) == 432
     pinned_of, class_of = {}, {}
@@ -491,12 +491,12 @@ def _build_m5():
     m2 = xp.SEED_M2
     steps = xp._expansion_steps(m2)
     assert steps and all(s.kind == 1 for s in steps)
-    m4 = xp.expand(m2, steps[0])
+    m4 = oracles.expand(m2, steps[0])
     i4, j4 = m4.marked_rows()
     vj_as_a = [s for s in xp._expansion_steps(m4)
                if s.kind == 1 and s.a == j4 and s.b == i4]
     assert vj_as_a
-    return m4, xp.expand(m4, vj_as_a[0])
+    return m4, oracles.expand(m4, vj_as_a[0])
 
 
 def test_expand_m4_m5_route():
@@ -519,7 +519,7 @@ def test_expand_rejections():
            (xp.ExpansionStep(1, 0, 1, 9), "column 9 is beyond the matrix")]
     for move, message in bad:
         with pytest.raises(ValueError, match=message):
-            xp.expand(m2, move)
+            oracles.expand(m2, move)
 
 
 # SEED_M2 with its meridian row broken, then with column 3 summing to 2
@@ -540,13 +540,13 @@ def test_expand_refuses_a_malformed_parent(rows, message):
     assert step in xp._expansion_steps(parent)
     xp._grow(parent, step)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        xp.expand(parent, step)
+        oracles.expand(parent, step)
 
 
 def test_contract_inverse():
     m2 = xp.SEED_M2
     step = xp._expansion_steps(m2)[0]
-    m4 = xp.expand(m2, step)
+    m4 = oracles.expand(m2, step)
     assert oracles.contract(m4, m4.r - 1, keep=step.a) == m2
 
 

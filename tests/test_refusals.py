@@ -15,6 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 from threebraid import braid, embed, expansions, forms, linalg
 from threebraid.braid import AltBraidWord, CrossingRef, RawBraidWord
 
+import oracles
+
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
                     database=None)
 
@@ -151,7 +153,7 @@ def test_malformed_table_json_is_refused(table, data):
         doc["values"] = list(doc["values"].values())
     elif kind == "value type":
         doc["values"][label] = data.draw(st.sampled_from(
-            (float(Fraction(doc["values"][label])), None, 0, ["0"])))
+            (float(Fraction(doc["values"][label])), None, 0, ["0"], "1/0")))
     elif kind == "missing label":
         del doc["values"][label]
     elif kind == "extra label":
@@ -181,6 +183,10 @@ def test_refusals_of_the_recorded_cases(w87):
         lambda: forms.DTable(3.0, unknot.values),
         lambda: forms.DTable.from_json(dict(doc, determinant=3.7)),
         lambda: forms.DTable.from_json({"determinant": 3}),
+        lambda: forms.DTable.from_json(
+            dict(doc, values={**doc["values"], "0": "1/0"})),
+        lambda: forms.DTable.from_json(
+            dict(doc, values={**doc["values"], "1": "-3/0"})),
         lambda: forms.d_table_halfint_unknot(5.0),
         lambda: forms.twist_knot_form(2.5),
         lambda: forms.twist_knot_form(True),
@@ -225,6 +231,14 @@ def test_refusals_of_the_recorded_cases(w87):
             {key: v for key, v in r87.items() if key != "verdict"}),
         lambda: embed.PipelineReport.from_json(dict(r87, input_mirrored=True)),
         lambda: embed.PipelineReport.from_json(dict(r87, note="x")),
+        lambda: embed.PipelineReport.from_json(dict(r87, witnesses=[
+            dict(w, case="bogus") for w in r87["witnesses"]])),
+        lambda: embed.PipelineReport.from_json(dict(r87, witnesses=[
+            dict(w, case="sigma0") for w in r87["witnesses"]])),
+        lambda: embed.PipelineReport.from_json(dict(r87, witnesses=[
+            dict(w, verified=False) for w in r87["witnesses"]])),
+        lambda: embed.PipelineReport.from_json(dict(r87, witnesses=[
+            dict(w, mirrored=True) for w in r87["witnesses"]])),
         lambda: CrossingRef.from_json({}),
         lambda: CrossingRef.from_json(5),
         lambda: AltBraidWord.from_json(5),
@@ -233,12 +247,13 @@ def test_refusals_of_the_recorded_cases(w87):
         lambda: expansions.generate_balanced(2.5),
         lambda: braid.alt_words(2.5),
         lambda: embed.embed_form(((-2,),), 2.5),
-        lambda: braid.enumerate_unknotting_words(2.5),
+        lambda: oracles.enumerate_unknotting_words(2.5),
         lambda: linalg.smith_normal_form(((1, 2), (3,))),
     ]
     for case in cases:
         with pytest.raises(ValueError):
             case()
+    assert r87["sigma"] == 2 and r87["change_making_enforced"]
     for good in (report, r87):
         assert embed.PipelineReport.from_json(good).to_json() == good
     assert linalg.smith_normal_form(((2, 4, 0),))[0] == (2,)

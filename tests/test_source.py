@@ -97,13 +97,13 @@ def _names_in(node):
     return out
 
 
-def test_library_names_no_command_reaches():
-    """The module-level definitions that no CLI command can reach.
+def _reached_from_cli():
+    """The qualified names of the library's module-level definitions, and
+    of those a CLI command can reach.
 
     A closure of name references from cli.py: a definition is reached when
     reached code names it (as a bare name, an attribute or an import),
     whatever module it is in, so a shared name errs on the side of reached.
-    Library code that no command reaches must be wired in or listed here.
     """
     definitions = {}
     for file, tree in _library_trees():
@@ -131,16 +131,32 @@ def test_library_names_no_command_reaches():
         for qualified, node in definitions.get(name, ()):
             reached.add(qualified)
             todo.extend(_names_in(node))
-    unreached = {qualified for defs in definitions.values()
-                 for qualified, _ in defs} - reached
-    assert unreached == {
-        # the backward generator of unknotting diagrams (ROADMAP item 4)
-        "braid.TaggedDiagram", "braid.canonical_tag",
-        "braid.enumerate_unknotting_words",
+    return ({qualified for defs in definitions.values()
+             for qualified, _ in defs}, reached)
+
+
+def test_library_names_no_command_reaches():
+    """The module-level definitions that no CLI command can reach.
+
+    Library code that no command reaches must be wired in, moved to the
+    tests, or listed here.
+    """
+    defined, reached = _reached_from_cli()
+    assert defined - reached == {
         # the staircase check, read by perfbench (ROADMAP item 7)
         "expansions.orthogonal_marked_structure", "expansions.BlockStructure",
         "expansions._staircase_ok", "expansions._block_candidates",
         "expansions._marks_ok", "expansions.no_orthogonal_completion",
-        # public, but only the tests call them
-        "expansions.expand", "forms.halfint_symmetry_test",
     }
+
+
+def test_package_exports_are_reached_from_cli():
+    """Every name the package exports is one a command reaches, but for
+    the two public names of the staircase check."""
+    _, reached = _reached_from_cli()
+    reached_names = {qualified.split(".")[1] for qualified in reached}
+    init = dict(_library_trees())["__init__.py"]
+    exported = {alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert exported - reached_names == {"no_orthogonal_completion",
+                                        "orthogonal_marked_structure"}
