@@ -29,6 +29,7 @@ class RawBraidWord:
     letters: tuple
 
     def __post_init__(self):
+        _check_pairs(self.letters)
         for g, e in self.letters:
             if type(g) is not int or type(e) is not int:
                 raise BraidSyntaxError(f"non-integer letter ({g!r}, {e!r})")
@@ -60,6 +61,7 @@ class AltBraidWord:
     pairs: tuple
 
     def __post_init__(self):
+        _check_pairs(self.pairs)
         if not self.pairs:
             raise ValueError("alternating word needs m >= 1")
         for a, b in self.pairs:
@@ -88,8 +90,10 @@ class AltBraidWord:
 
     @classmethod
     def canonical(cls, pairs):
-        """The rotation whose signed exponent sequence (-a1, b1, ...) is least."""
-        word = cls(tuple((a, b) for a, b in pairs))
+        """The rotation whose signed exponent sequence (-a1, b1, ...) is least.
+
+        pairs is a tuple or a list of pairs."""
+        word = cls(tuple(pairs) if type(pairs) is list else pairs)
         pairs = word.pairs
         signed = [(-a, b) for a, b in pairs]
         best = min(range(len(pairs)), key=lambda s: signed[s:] + signed[:s])
@@ -103,12 +107,20 @@ class AltBraidWord:
         return cls.canonical(_json_pairs(data))
 
 
+def _check_pairs(seq):
+    """Refuse, with ValueError, anything but a tuple of 2-tuples."""
+    if type(seq) is not tuple or any(
+            type(pair) is not tuple or len(pair) != 2 for pair in seq):
+        raise ValueError(f"{seq!r} is not a tuple of pairs")
+
+
 def _json_pairs(data):
-    """A JSON list of two-entry lists as a tuple of pairs; ValueError else."""
-    if type(data) is not list or any(
-            type(pair) is not list or len(pair) != 2 for pair in data):
+    """A JSON list of lists as a tuple of tuples; ValueError else.
+
+    The word's constructor refuses an entry that is not a pair."""
+    if type(data) is not list or any(type(pair) is not list for pair in data):
         raise ValueError("a word is a list of pairs")
-    return tuple(tuple(pair) for pair in data)
+    return tuple(map(tuple, data))
 
 
 @dataclass(frozen=True)
@@ -120,15 +132,6 @@ class CrossingRef:
 
     def to_json(self):
         return {"letter": self.letter_index, "slot": self.strand_slot}
-
-    @classmethod
-    def from_json(cls, data):
-        if type(data) is not dict:
-            raise ValueError("a crossing is an object")
-        letter, slot = data.get("letter"), data.get("slot")
-        if type(letter) is not int or type(slot) is not int:
-            raise ValueError(f"non-integer crossing ({letter!r}, {slot!r})")
-        return cls(letter, slot)
 
 
 @dataclass(frozen=True)

@@ -544,7 +544,6 @@ class CriterionWitness:
         }
 
 
-_STAGES = ("sigma_bound", "parity", "search_empty", "change_making", "witness")
 _NOTES = {"sigma_bound": "|signature| exceeds 2, so u >= 2",
           "parity": "determinant one: the closure is already the unknot"}
 
@@ -607,58 +606,40 @@ class PipelineReport:
 
     @classmethod
     def from_json(cls, data):
-        """The report to_json wrote.  Nothing is coerced: a field of any
-        other type, a bool for an int included, is a ValueError.  So is a
-        document no run writes: a missing field, an unknown stage,
-        witnesses on any stage but witness or none on it, a witness matrix
-        that is not square of side at least 3, an n, epsilon, verdict,
-        input_mirrored or note other than the one the report gives, or a
-        witness case, mirrored flag or verification that no run writes."""
-        stage = _field(data, "stage", str)
-        if stage not in _STAGES:
-            raise ValueError(f"unknown stage {stage!r}")
-        wits = []
-        for w in _field(data, "witnesses", list):
-            rows = linalg.freeze(_field(w, "matrix", list))
-            if len(rows) < 3 or len(rows[0]) != len(rows):
-                raise ValueError("a witness matrix is square, of side >= 3")
-            crossing = _field(w, "crossing", dict, type(None))
-            wits.append(CriterionWitness(
-                EmbeddingMatrix(rows, len(rows) - 2),
-                None if crossing is None else CrossingRef.from_json(crossing),
-                _field(w, "verified", bool), _field(w, "case", str),
-                _field(w, "mirrored", bool)))
-        if bool(wits) != (stage == "witness"):
-            raise ValueError(f"stage {stage} with {len(wits)} witnesses")
-        report = cls(AltBraidWord.from_json(_field(data, "word", list)),
-                     _field(data, "sigma", int),
-                     _field(data, "determinant", int), stage, tuple(wits),
-                     _field(data, "change_making_enforced", bool))
-        for key in ("n", "epsilon", "verdict", "input_mirrored", "note"):
-            value = getattr(report, key)
-            if _field(data, key, type(value)) != value:
-                raise ValueError(f"{key} {data[key]!r} does not follow from "
-                                 f"the report, which gives {value!r}")
-        for w in wits:
-            if (w.case != ("sigma2" if abs(report.sigma) == 2 else "sigma0")
-                    or report.sigma and w.mirrored != report.input_mirrored
-                    or report.change_making_enforced
-                    and (not w.verified or w.crossing is None)):
-                raise ValueError(
-                    f"no run at sigma {report.sigma} writes a witness "
-                    f"{w.case}, mirrored {w.mirrored}, verified {w.verified}")
+        """The report to_json wrote, read by running it again.
+
+        A run is deterministic in its canonical word and its mode, so the
+        reader runs u1_pipeline on the document's word and
+        change_making_enforced (a bool) and returns that report when its
+        to_json equals the document, type for type: a bool is not an int,
+        2.0 is not 2, a tuple is not a list, and a missing or extra key is
+        a difference.  A document no run writes is a ValueError naming the
+        first top-level key that differs.  Reading a report costs what the
+        run cost."""
+        if type(data) is not dict or type(
+                data.get("change_making_enforced")) is not bool:
+            raise ValueError("a report is an object with a bool "
+                             "change_making_enforced")
+        report = u1_pipeline(AltBraidWord.from_json(data.get("word")),
+                             data["change_making_enforced"])
+        written = report.to_json()
+        for key in [*written, *data]:
+            if key not in data or key not in written or not _same(
+                    data[key], written[key]):
+                raise ValueError(f"{key!r} differs from the report a run "
+                                 "of this word writes")
         return report
 
 
-def _field(doc, key, *kinds):
-    """doc[key], which must be present and of exactly one of the types kinds."""
-    if type(doc) is not dict or key not in doc:
-        raise ValueError(f"the document has no {key} field")
-    value = doc[key]
-    if type(value) not in kinds:
-        names = " or ".join(kind.__name__ for kind in kinds)
-        raise ValueError(f"{key} {value!r} is not of type {names}")
-    return value
+def _same(a, b):
+    """Structural equality that also compares types: True is not 1."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
 
 
 def u1_pipeline(word, enforce_change_making=True):

@@ -339,6 +339,14 @@ def test_pipeline_json_is_pinned():
 def test_pipeline_report_roundtrip(w87, w1079):
     for rep in (embed.u1_pipeline(w87), embed.u1_pipeline(w1079)):
         assert embed.PipelineReport.from_json(rep.to_json()) == rep
+    # every document a run writes reads back: all 103 knot words of
+    # exponent <= 10, strict and relaxed, through a JSON round trip
+    words = [w for w in braid.alt_words(10) if braid.is_knot_closure(w.raw())]
+    assert len(words) == 103
+    for w in words:
+        for enforce in (True, False):
+            doc = json.loads(json.dumps(embed.u1_pipeline(w, enforce).to_json()))
+            assert embed.PipelineReport.from_json(doc).to_json() == doc
 
 
 def test_pipeline_report_refuses_an_empty_word(w87):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from threebraid import braid, embed, expansions, forms, linalg
-from threebraid.braid import AltBraidWord, CrossingRef, RawBraidWord
+from threebraid.braid import AltBraidWord, RawBraidWord
 
 import oracles
 
@@ -173,6 +173,12 @@ def test_refusals_of_the_recorded_cases(w87):
     r87 = embed.u1_pipeline(w87).to_json()
     assert report["witnesses"]
     witness = report["witnesses"][0]
+
+    def with_witness(doc, **fields):
+        """doc with the given fields of its first witness replaced."""
+        return dict(doc, witnesses=[dict(doc["witnesses"][0], **fields),
+                                    *doc["witnesses"][1:]])
+
     cases = [
         lambda: forms.d_table_sharp(((-6.9, 1), (1, -2))),
         lambda: embed.embed_form(((-2.5,),), 2),
@@ -196,8 +202,10 @@ def test_refusals_of_the_recorded_cases(w87):
         lambda: AltBraidWord.canonical((("3", 2),)),
         lambda: AltBraidWord.from_json([[1.9, 2]]),
         lambda: AltBraidWord.from_json([["3", 2]]),
-        lambda: CrossingRef.from_json({"letter": 1.7, "slot": "0"}),
-        lambda: CrossingRef.from_json({"letter": 1, "slot": False}),
+        lambda: embed.PipelineReport.from_json(
+            with_witness(report, crossing={"letter": 1.7, "slot": "0"})),
+        lambda: embed.PipelineReport.from_json(
+            with_witness(report, crossing={"letter": 1, "slot": False})),
         lambda: RawBraidWord.from_json([[1, -1.5]]),
         lambda: RawBraidWord(((True, -1),)),
         lambda: embed.PipelineReport.from_json(
@@ -239,11 +247,35 @@ def test_refusals_of_the_recorded_cases(w87):
             dict(w, verified=False) for w in r87["witnesses"]])),
         lambda: embed.PipelineReport.from_json(dict(r87, witnesses=[
             dict(w, mirrored=True) for w in r87["witnesses"]])),
-        lambda: CrossingRef.from_json({}),
-        lambda: CrossingRef.from_json(5),
+        lambda: embed.PipelineReport.from_json(
+            with_witness(report, crossing={})),
+        lambda: embed.PipelineReport.from_json(with_witness(report, crossing=5)),
         lambda: AltBraidWord.from_json(5),
         lambda: AltBraidWord.from_json([5]),
         lambda: RawBraidWord.from_json(5),
+        lambda: AltBraidWord((5,)),
+        lambda: AltBraidWord.canonical([5]),
+        lambda: RawBraidWord((5,)),
+        lambda: AltBraidWord([(1, 2)]),
+        # certificates no run writes, each consistent in its derived keys
+        lambda: embed.PipelineReport.from_json(dict(
+            r87, stage="search_empty", verdict="obstructed", witnesses=[])),
+        lambda: embed.PipelineReport.from_json(with_witness(
+            report, matrix=[[int(i == j) for j in range(5)]
+                            for i in range(5)])),
+        lambda: embed.PipelineReport.from_json(
+            with_witness(report, crossing={"letter": -7, "slot": 99})),
+        lambda: embed.PipelineReport.from_json(
+            dict(report, determinant=27, n=14)),
+        lambda: embed.PipelineReport.from_json(dict(
+            r87, sigma=4, epsilon=0,
+            witnesses=[dict(w, case="sigma0") for w in r87["witnesses"]])),
+        lambda: embed.PipelineReport.from_json(dict(
+            r87, change_making_enforced=False, witnesses=[
+                dict(w, crossing=None) for w in r87["witnesses"]])),
+        lambda: embed.PipelineReport.from_json(
+            dict(r87, word=r87["word"][1:] + r87["word"][:1])),
+        lambda: embed.PipelineReport.from_json(dict(r87, comment="")),
         lambda: expansions.generate_balanced(2.5),
         lambda: braid.alt_words(2.5),
         lambda: embed.embed_form(((-2,),), 2.5),
