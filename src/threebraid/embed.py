@@ -97,19 +97,6 @@ def _x_tails(r, target, change_making):
     return out
 
 
-@lru_cache(maxsize=None)
-def _norm_vectors(norm, k):
-    """All integer k-vectors with squared length equal to norm."""
-    if k == 0:
-        return ((),) if norm == 0 else ()
-    out = []
-    b = isqrt(norm)
-    for v in range(-b, b + 1):
-        for rest in _norm_vectors(norm - v * v, k - 1):
-            out.append((v,) + rest)
-    return tuple(out)
-
-
 # one tuple per distinct candidate row, shared by every _row_candidates key
 _ROWS = {}
 
@@ -120,7 +107,10 @@ def _row_candidates(diag, xbar):
 
     These are the possible truncated cycle rows of a witness for the given
     x tail: the first two (equal) entries of the full row are forced to
-    -(c . xbar), and the diagonal Gram entry prescribes the total.
+    -(c . xbar), and the diagonal Gram entry prescribes the total.  With
+    an all-zero xbar they are every vector of squared length diag, the
+    row pool of embed_form.  Columns are fixed in order of decreasing
+    xbar, each running up from its negative bound.
 
     The cache lives as long as the process, and its keys share their
     rows: a row equal in value to one already handed out, under any key,
@@ -128,26 +118,22 @@ def _row_candidates(diag, xbar):
     """
     r = len(xbar)
     order = sorted(range(r), key=lambda j: -xbar[j])
-    first_zero = next((t for t in range(r) if xbar[order[t]] == 0), r)
     out = []
     entries = [0] * r
 
     def rec(idx, q, s):
-        if idx == first_zero:
-            need = diag - q - 2 * s * s
-            if need < 0:
-                return
-            zcols = order[idx:]
-            for vec in _norm_vectors(need, len(zcols)):
-                for j, v in zip(zcols, vec):
-                    entries[j] = v
+        if idx == r:
+            if q + 2 * s * s == diag:
                 row = tuple(entries)
                 out.append(_ROWS.setdefault(row, row))
-            for j in zcols:
-                entries[j] = 0
             return
         j = order[idx]
-        b = isqrt(diag - q)
+        # x tails are nonnegative: from the first zero entry on s is
+        # fixed, so the room left must also pay 2 s^2
+        room = diag - q - (0 if xbar[j] else 2 * s * s)
+        if room < 0:
+            return
+        b = isqrt(room)
         for v in range(-b, b + 1):
             entries[j] = v
             rec(idx + 1, q + v * v, s + v * xbar[j])
@@ -349,12 +335,15 @@ def embed_form(m, n_cols):
     if n_cols < k:
         raise ValueError("target rank below the rank of the form")
     diag = [-m[i][i] for i in range(k)]
-    target = [[-m[i][j] for j in range(k)] for i in range(k)]
+    # each nonzero column adds at least 1 to trace(B B^T) = -trace(M), and
+    # canonical columns put the zero ones last: wider targets only pad
+    width = min(n_cols, sum(diag))
+    pad = (0,) * (n_cols - width)
     results = []
     rows = []
 
-    def candidates(i):
-        """Rows extending `rows` that keep columns canonical.
+    def rec(i):
+        """Extend `rows` by every row that keeps the columns canonical.
 
         Columns must stay lexicographically nonincreasing (reading down),
         with each column's first nonzero entry positive: within a run of
@@ -362,43 +351,33 @@ def embed_form(m, n_cols):
         new entry in an all-zero column must be nonnegative.  So every
         complete matrix is already the canonical representative of its
         signed column permutation class, and no two are in one class.
+
+        The all-zero columns are therefore the last ones and form a single
+        run, so a new row is a head over the columns in use, drawn from
+        the shared row pool, and a nonincreasing nonnegative tail, an x
+        tail reversed.  The full pool would list each signed permutation
+        of the tail: millions of rows at diagonal 7 and rank 21.
         """
-        prefixes = list(zip(*rows)) if rows else [()] * n_cols
-        out = []
-        entry = [0] * n_cols
-
-        def rec(j, q):
-            if j == n_cols:
-                if q == diag[i]:
-                    cand = tuple(entry)
-                    if all(sum(a * b for a, b in zip(cand, rows[t])) == target[i][t]
-                           for t in range(i)):
-                        out.append(cand)
-                return
-            b = isqrt(diag[i] - q)
-            lo, hi = -b, b
-            if j > 0 and prefixes[j] == prefixes[j - 1]:
-                hi = min(hi, entry[j - 1])
-            if not any(prefixes[j]):
-                lo = 0
-            for v in range(hi, lo - 1, -1):
-                entry[j] = v
-                rec(j + 1, q + v * v)
-            entry[j] = 0
-
-        rec(0, 0)
-        return out
-
-    def rec_rows(i):
         if i == k:
-            results.append(tuple(rows))
+            results.append(tuple(row + pad for row in rows))
             return
-        for cand in candidates(i):
-            rows.append(cand)
-            rec_rows(i + 1)
-            rows.pop()
+        cols = [col for col in zip(*rows) if any(col)]
+        used = len(cols)
+        ties = [j for j in range(1, used) if cols[j] == cols[j - 1]]
+        for rest in range(diag[i] + 1):
+            tails = [t[::-1] for t in _x_tails(width - used, rest, False)]
+            if not tails:
+                continue
+            for head in _row_candidates(diag[i] - rest, (0,) * used):
+                if (all(head[j] <= head[j - 1] for j in ties)
+                        and all(sum(map(mul, head, row)) == -m[i][t]
+                                for t, row in enumerate(rows))):
+                    for tail in tails:
+                        rows.append(head + tail)
+                        rec(i + 1)
+                        rows.pop()
 
-    rec_rows(0)
+    rec(0)
     return tuple(sorted(results, key=lambda b: tuple(zip(*b))))
 
 

@@ -37,6 +37,10 @@ building a new tuple for every row, is the retired form of
 `embed._row_candidates`, which hands out one shared tuple per distinct
 row.  `signed_column_canonical` is the retired
 dedup key of `embed.embed_form`, whose leaves are now canonical as found.
+`retired_embed_form`, which builds each row column by column and recurses
+once per target column, is the retired form of `embed.embed_form`, which
+now filters the shared `_row_candidates` pools and pads every column past
+-trace(M) with zeros.
 `minors_negative_definite`, one determinant per leading principal minor,
 is the retired form of `linalg.is_negative_definite`.
 `retired_goeritz_parameters`, with its own rank-2 branch, cycle walk
@@ -686,6 +690,76 @@ def retired_row_candidates(diag, xbar):
 
     rec(0, 0, 0)
     return tuple(out)
+
+
+def retired_embed_form(m, n_cols):
+    """All embeddings of a negative definite form in the standard lattice.
+
+    Returns every k x n integer matrix B with -B B^T = M, one canonical
+    representative per signed column permutation class, deterministically
+    ordered.  An empty result is the diagonalization obstruction firing.
+    A matrix that is not negative definite raises ValueError.
+    """
+    m = linalg.freeze(m)
+    if not linalg.is_negative_definite(m):
+        raise ValueError("matrix is not negative definite")
+    k = len(m)
+    if type(n_cols) is not int:
+        raise ValueError(f"target rank {n_cols!r} is not an integer")
+    if n_cols < k:
+        raise ValueError("target rank below the rank of the form")
+    diag = [-m[i][i] for i in range(k)]
+    target = [[-m[i][j] for j in range(k)] for i in range(k)]
+    results = []
+    rows = []
+
+    def candidates(i):
+        """Rows extending `rows` that keep columns canonical.
+
+        Columns must stay lexicographically nonincreasing (reading down),
+        with each column's first nonzero entry positive: within a run of
+        columns equal so far the new entries must be nonincreasing, and a
+        new entry in an all-zero column must be nonnegative.  So every
+        complete matrix is already the canonical representative of its
+        signed column permutation class, and no two are in one class.
+        """
+        prefixes = list(zip(*rows)) if rows else [()] * n_cols
+        out = []
+        entry = [0] * n_cols
+
+        def rec(j, q):
+            if j == n_cols:
+                if q == diag[i]:
+                    cand = tuple(entry)
+                    if all(sum(a * b for a, b in zip(cand, rows[t])) == target[i][t]
+                           for t in range(i)):
+                        out.append(cand)
+                return
+            b = isqrt(diag[i] - q)
+            lo, hi = -b, b
+            if j > 0 and prefixes[j] == prefixes[j - 1]:
+                hi = min(hi, entry[j - 1])
+            if not any(prefixes[j]):
+                lo = 0
+            for v in range(hi, lo - 1, -1):
+                entry[j] = v
+                rec(j + 1, q + v * v)
+            entry[j] = 0
+
+        rec(0, 0)
+        return out
+
+    def rec_rows(i):
+        if i == k:
+            results.append(tuple(rows))
+            return
+        for cand in candidates(i):
+            rows.append(cand)
+            rec_rows(i + 1)
+            rows.pop()
+
+    rec_rows(0)
+    return tuple(sorted(results, key=lambda b: tuple(zip(*b))))
 
 
 def retired_canonical_columns(c_rows, xbar):

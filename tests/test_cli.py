@@ -208,6 +208,16 @@ def test_embed_subcommand(capsys, tmp_path):
     assert "2 embedding class(es)" in out
 
 
+def test_embed_wide_target_rank(capsys, tmp_path):
+    """A target rank far past -trace(M) pads zero columns, exit 0."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"goeritz": [[-2, 1], [1, -3]]}))
+    code, out, _ = run_cli(capsys, "embed", "--matrix", str(path),
+                           "--target-rank", "3000")
+    assert code == 0
+    assert "1 embedding class(es) into rank 3000" in out
+
+
 def test_b0(capsys, monkeypatch):
     calls = []
     generate = cli.expansions.generate_balanced

@@ -113,19 +113,23 @@ def test_criterion_matches_retired_loop(monkeypatch):
 
 def test_row_candidates_match_retired_enumeration(monkeypatch):
     """Same rows in the same order as the uncached enumeration, on every
-    (diag, x tail) the sweep sides reach, strict and relaxed; rows equal
-    in value are one object across keys."""
+    (diag, x tail) the sweep sides reach, strict and relaxed, and on the
+    all-zero tails that embed_form asks for, where they are the plain
+    norm vectors; rows equal in value are one object across keys."""
     keys = set()
     for matrix, n in _sweep_sides(monkeypatch):
         r = len(matrix)
         for change_making in (True, False):
             for xbar in embed._x_tails(r, n - 1, change_making):
                 keys.update((-matrix[i][i], xbar) for i in range(r))
+    zero_tails = {(d, (0,) * k) for d in range(7) for k in range(9)}
     shared = {}
     total = 0
-    for diag, xbar in sorted(keys):
+    for diag, xbar in sorted(keys | zero_tails):
         rows = embed._row_candidates(diag, xbar)
         assert rows == oracles.retired_row_candidates(diag, xbar)
+        if (diag, xbar) in zero_tails:
+            assert rows == oracles.norm_vectors(diag, len(xbar))
         for row in rows:
             assert shared.setdefault(row, row) is row
         total += len(rows)
@@ -187,12 +191,23 @@ def test_embed_form_returns_canonical_representatives():
     several = 0
     for m, n in cases:
         classes = embed.embed_form(m, n)
+        assert classes == oracles.retired_embed_form(m, n)
         keys = [oracles.signed_column_canonical(b) for b in classes]
         assert [tuple(zip(*key)) for key in keys] == list(classes)
         assert len(set(keys)) == len(keys)
         several += len(classes) > 1
     # the distinct-key check bites: 57 of the 235 cases have several classes
     assert several == 57
+
+
+def test_embed_form_pads_past_minus_trace():
+    """Only -trace(M) columns can be nonzero, so a wide target only pads,
+    and rank 3000 costs what rank 5 does."""
+    m = ((-2, 1), (1, -3))
+    narrow = embed.embed_form(m, 5)
+    assert len(narrow) == 1
+    assert embed.embed_form(m, 3000) == tuple(
+        tuple(row + (0,) * 2995 for row in b) for b in narrow)
 
 
 def test_embed_form_gram_validated():
