@@ -109,7 +109,7 @@ def _row_candidates(diag, xbar):
     x tail: the first two (equal) entries of the full row are forced to
     -(c . xbar), and the diagonal Gram entry prescribes the total.  With
     an all-zero xbar they are every vector of squared length diag, the
-    row pool of embed_form.  Columns are fixed in order of decreasing
+    pool embed_form draws its row heads from.  Columns are fixed in order of decreasing
     xbar, each running up from its negative bound.
 
     The cache lives as long as the process, and its keys share their
