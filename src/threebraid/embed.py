@@ -31,10 +31,16 @@ from .linalg import TheoremViolation
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """(r+2) x (r+2) integer matrix with rows v_1..v_r, x, y."""
+    """(r+2) x (r+2) integer matrix with rows v_1..v_r, x, y.
+
+    r is read off the rows: every row but the last two is a cycle row.
+    """
 
     rows: tuple
-    r: int
+
+    @property
+    def r(self):
+        return len(self.rows) - 2
 
     @property
     def x_row(self):
@@ -191,14 +197,6 @@ def _witness_key(z, xbar, auts):
                       for sign in (1, -1) for p in auts))
 
 
-def _assemble(c_rows, z, xbar):
-    r = len(xbar)
-    rows = [(z[i], z[i]) + c_rows[i] for i in range(r)]
-    rows.append((0, 1) + xbar)
-    rows.append((1, -1) + (0,) * r)
-    return EmbeddingMatrix(tuple(rows), r)
-
-
 def criterion_search(form, change_making=True):
     """All witness matrices for a Goeritz form of determinant D = 2n-1.
 
@@ -255,18 +253,17 @@ def criterion_search(form, change_making=True):
                 z = -sum(map(mul, c, xbar))
                 pool.append((z, z) + c)
             pools[d] = pool
+        shape = ((0, 1) + xbar, (1, -1) + (0,) * r)
         rows = [None] * r
         fits = {}
 
         def rec(t):
             if t == r:
-                c_rows = tuple(row[2:] for row in rows)
-                if abs(linalg.det(c_rows)) != 1:
+                if abs(linalg.det([row[2:] for row in rows])) != 1:
                     return
-                zs = tuple(row[0] for row in rows)
-                key = _witness_key(zs, xbar, auts)
+                key = _witness_key(tuple(row[0] for row in rows), xbar, auts)
                 if key not in found:
-                    a = _assemble(c_rows, zs, xbar)
+                    a = EmbeddingMatrix(tuple(rows) + shape)
                     _check_witness(a, matrix, n)
                     found[key] = a
                 return
@@ -388,7 +385,7 @@ def _signed_to_ones(a, summed, what):
         raise TheoremViolation(f"{what} sum to {total}, not a sign vector")
     rows = tuple(tuple(v if s == 1 else -v for v, s in zip(row, total))
                  for row in a.rows)
-    return EmbeddingMatrix(rows, a.r)
+    return EmbeddingMatrix(rows)
 
 
 def normalize_sigma2(a):

@@ -564,22 +564,23 @@ def completion_x_tail(pe):
     """The x tail forced by orthogonality, or None when no witness x exists.
 
     A full witness needs x = (0, 1, xbar) orthogonal to every cycle row
-    with the head entries living on the meridian columns; given
-    det(C) = +-1 the tail is the unique solution of C xbar = -z for each
-    of the two allowed head sign patterns.  Returns the first solved tail
-    whose sorted absolute values obey change-making, else None.  A
+    with the head entries living on the meridian columns, that is
+    C xbar = -z for each of the two allowed head sign patterns.  The tail
+    exists only when d = det(C) = +-1, and then C^-1 = d adj(C), so it is
+    read off as d adj(C) (-z), one adjugate per member.  Returns the first
+    tail whose sorted absolute values obey change-making, else None.  A
     non-member is refused with a ValueError.
     """
     c = _validate(pe).c_block()
-    if abs(linalg.det(c)) != 1:
+    d = linalg.det(c)
+    if abs(d) != 1:
         return None
-    z = tuple(row[0] for row in pe.v_rows)
-    z2 = tuple(row[1] for row in pe.v_rows)
+    inverse = tuple(tuple(d * v for v in row) for row in linalg.adjugate(c))
     for head in ((0, -1), (-1, 0)):
-        rhs = tuple(-(head[0] * z[i] + head[1] * z2[i]) for i in range(pe.r))
-        tail = linalg.solve_int(c, rhs)
-        if tail is None:
-            raise TheoremViolation("unimodular solve failed to be integral")
+        rhs = tuple(-sum(map(mul, head, row[:2])) for row in pe.v_rows)
+        tail = tuple(sum(map(mul, row, rhs)) for row in inverse)
+        if tuple(sum(map(mul, row, tail)) for row in c) != rhs:
+            raise TheoremViolation("d adj(C) failed to solve C xbar = -z")
         if change_making_ok(tuple(abs(v) for v in tail)):
             return tail
     return None

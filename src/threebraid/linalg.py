@@ -1,10 +1,12 @@
 """Exact integer linear algebra on small dense matrices.
 
 Matrices are tuples of tuples of Python ints (rows).  Everything here is
-integer: determinants use fraction-free (Bareiss) elimination, adjugates
-stand in for inverses, and the Smith normal form is computed with integer
-row/column operations.  Sizes in this package stay below ~30, so
-asymptotics are irrelevant; exactness is not.
+integer: determinants use fraction-free (Bareiss) elimination, the
+adjugate is the one inverse (forms scores covectors by c adj(M) c^T, and
+the blockade solves its unimodular block by C^-1 = det(C) adj(C)), and
+the Smith normal form is computed with integer row/column operations.
+Sizes in this package stay below ~30, so asymptotics are irrelevant;
+exactness is not.
 """
 
 
@@ -124,36 +126,6 @@ def adjugate(m):
     return tuple(tuple((-1) ** (i + j) * _det_int(
         [row[:i] + row[i + 1:] for k, row in enumerate(m) if k != j])
         for j in range(n)) for i in range(n))
-
-
-def solve_int(m, rhs):
-    """Solve m x = rhs over the integers; None when no integer solution.
-
-    A non-square m, a rhs whose length is not m's, or a singular m raises
-    ValueError.  One fraction-free Gauss-Jordan elimination of [m | rhs]:
-    after step k every entry is a minor of order k + 1 of the row-swapped
-    system, so each division is exact, and at the end m has become d I
-    and rhs d x, where d = +-det m is the last pivot.
-    """
-    n = _require_square(m)
-    if len(rhs) != n:
-        raise ValueError("right-hand side does not match the matrix")
-    a = [list(row) + [b] for row, b in zip(m, rhs)]
-    prev = 1
-    for k in range(n):
-        pick = next((t for t in range(k, n) if a[t][k]), None)
-        if pick is None:
-            raise ValueError("matrix is singular")
-        a[k], a[pick] = a[pick], a[k]
-        pivot, top = a[k][k], a[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(x * pivot - f * y) // prev for x, y in zip(a[i], top)]
-        prev = pivot
-    if any(row[n] % prev for row in a):
-        return None
-    return tuple(row[n] // prev for row in a)
 
 
 def smith_normal_form(m):

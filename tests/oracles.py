@@ -851,7 +851,9 @@ def retired_criterion_search(form, n, change_making=True):
                     return
                 key = retired_witness_key(c_rows, tuple(zs), xbar, auts)
                 if key not in found:
-                    a = embed._assemble(c_rows, tuple(zs), xbar)
+                    a = embed.EmbeddingMatrix(
+                        tuple((z, z) + c for z, c in zip(zs, c_rows))
+                        + ((0, 1) + xbar, (1, -1) + (0,) * r))
                     embed._check_witness(a, matrix, n)
                     found[key] = a
                 return

@@ -31,7 +31,7 @@ def test_acceptance_1_eight_seven():
     wit = rep.witnesses[0]
     g = goeritz.goeritz_3braid(W87)
     assert oracles.witness_class_key(wit.matrix, g.matrix) == \
-        oracles.witness_class_key(EmbeddingMatrix(A87, 3), g.matrix)
+        oracles.witness_class_key(EmbeddingMatrix(A87), g.matrix)
     assert wit.crossing == CrossingRef(2, 0)      # the s1^-1 block
     assert wit.verified
     assert embed.verify_unknotting(W87, wit.crossing, wit.matrix)
@@ -54,7 +54,7 @@ def test_acceptance_2_ten_seventy_nine():
     assert len(relaxed) == 1
     assert tuple(sorted(relaxed[0].x_row[2:])) == (2, 2, 2, 3, 3)
     assert oracles.witness_class_key(relaxed[0], g.matrix) == \
-        oracles.witness_class_key(EmbeddingMatrix(A1079, 5), g.matrix)
+        oracles.witness_class_key(EmbeddingMatrix(A1079), g.matrix)
     elapsed = time.time() - t0
     assert elapsed < 60
     print(f"\ncriterion 2 (10_79 end-to-end): PASS in {elapsed:.2f}s")

@@ -24,9 +24,19 @@ def test_criterion_8_7(w87, g87_matrix):
     g = goeritz.goeritz_3braid(w87)
     sols = embed.criterion_search(g)
     assert len(sols) == 1
-    displayed = EmbeddingMatrix(A87, 3)
+    displayed = EmbeddingMatrix(A87)
     assert oracles.witness_class_key(sols[0], g87_matrix) == \
         oracles.witness_class_key(displayed, g87_matrix)
+
+
+def test_embedding_matrix_reads_r_from_rows():
+    """r is the number of rows less x and y, so the layout needs no count."""
+    a = EmbeddingMatrix(A87)
+    assert a.r == 3
+    assert a.v_rows == ((0, 0, 1, 2, -1), (1, 1, -1, 0, 0), (0, 0, 1, -1, 0))
+    assert a.x_row == (0, 1, 1, 1, 3)
+    assert a.y_row == (1, -1, 0, 0, 0)
+    assert a.c_block() == ((1, 2, -1), (-1, 0, 0), (1, -1, 0))
 
 
 def test_criterion_10_79(w1079, g1079_matrix):
@@ -35,7 +45,7 @@ def test_criterion_10_79(w1079, g1079_matrix):
     relaxed = embed.criterion_search(g, change_making=False)
     assert len(relaxed) == 1
     assert tuple(sorted(relaxed[0].x_row[2:])) == (2, 2, 2, 3, 3)
-    displayed = EmbeddingMatrix(A1079, 5)
+    displayed = EmbeddingMatrix(A1079)
     assert oracles.witness_class_key(relaxed[0], g1079_matrix) == \
         oracles.witness_class_key(displayed, g1079_matrix)
 
@@ -46,7 +56,7 @@ def test_criterion_trefoil_vs_exhaustive():
     assert sols
     raw = oracles.exhaustive_criterion(g, 2)
     assert raw
-    keys = {oracles.witness_class_key(EmbeddingMatrix(a, 1), g) for a in raw}
+    keys = {oracles.witness_class_key(EmbeddingMatrix(a), g) for a in raw}
     assert keys == {oracles.witness_class_key(a, g) for a in sols}
 
 
@@ -54,7 +64,7 @@ def test_criterion_fig8_vs_exhaustive():
     g = goeritz.goeritz_3braid(AltBraidWord(((1, 1), (1, 1)))).matrix
     sols = embed.criterion_search(g)
     raw = oracles.exhaustive_criterion(g, 3)
-    keys = {oracles.witness_class_key(EmbeddingMatrix(a, 2), g) for a in raw}
+    keys = {oracles.witness_class_key(EmbeddingMatrix(a), g) for a in raw}
     assert keys == {oracles.witness_class_key(a, g) for a in sols}
     assert sols
 
@@ -217,7 +227,7 @@ def test_embed_form_gram_validated():
 
 def test_normalize_sigma2(w87):
     g = goeritz.goeritz_3braid(w87)
-    a = EmbeddingMatrix(A87, 3)
+    a = EmbeddingMatrix(A87)
     vsum = [sum(col) for col in zip(*a.v_rows)]
     assert vsum == [1, 1, 1, 1, -1]
     norm = embed.normalize_sigma2(a)
@@ -236,7 +246,7 @@ def test_extract_sigma2_uniqueness_violation(w87):
         (1, 1, -1, 0, 0),
         (0, 0, 1, -1, 0),
         (0, 1, 1, 1, 3),
-        (1, -1, 0, 0, 0)), 3)
+        (1, -1, 0, 0, 0)))
     with pytest.raises(TheoremViolation):
         embed.extract_crossing_sigma2(bad, g)
 
@@ -266,7 +276,7 @@ def test_normalize_sigma0_orthogonal_marks_rejected():
             (-1, 1, 0, 1, 0, 1),
             (0, 0, 0, 0, 0, 0),
             (1, 1, 0, 0, 0, 0))
-    a = EmbeddingMatrix(rows, 4)
+    a = EmbeddingMatrix(rows)
     word = AltBraidWord(((2, 2), (2, 2)))
     g = goeritz.goeritz_3braid(word)
     with pytest.raises(TheoremViolation):
@@ -275,7 +285,7 @@ def test_normalize_sigma0_orthogonal_marks_rejected():
 
 def test_verify_unknotting(w87):
     g = goeritz.goeritz_3braid(w87)
-    a = EmbeddingMatrix(A87, 3)
+    a = EmbeddingMatrix(A87)
     assert embed.verify_unknotting(w87, CrossingRef(2, 0), a)
     assert not embed.verify_unknotting(w87, CrossingRef(0, 0))
     c = a.c_block()

@@ -662,6 +662,14 @@ def test_completion_nonvacuous():
     assert xp.canonical_form(pe) in {xp.canonical_form(q) for q in layers[pe.r]}
 
 
+def _fraction_solve(c, rhs):
+    """The solution of c x = rhs by the Fraction inverse, None if not integral."""
+    x = [sum(a * b for a, b in zip(row, rhs))
+         for row in oracles.fraction_inverse(c)]
+    return (tuple(int(v) for v in x)
+            if all(v.denominator == 1 for v in x) else None)
+
+
 def test_completion_tail_integral():
     """C xbar = -z solves integrally whenever det C = +-1."""
     layers = xp.generate_balanced(5)
@@ -671,10 +679,39 @@ def test_completion_tail_integral():
             if abs(linalg.det(pe.c_block())) != 1:
                 continue
             z = tuple(row[0] for row in pe.v_rows)
-            sol = linalg.solve_int(pe.c_block(), tuple(-v for v in z))
+            sol = _fraction_solve(pe.c_block(), tuple(-v for v in z))
             assert sol is not None
             checked += 1
     assert checked > 0
+
+
+def test_completion_x_tail_matches_fraction_solve():
+    """On every member up to rank 8 the x tail is None unless det C = +-1,
+    and otherwise the first change-making tail solved by the Fraction
+    inverse, for the head patterns in their order: 72 unimodular blocks,
+    69 of them with det C = -1, where C^-1 = det(C) adj(C) is -adj(C)."""
+    members = [pe for ms in xp._grow_balanced(8).values() for pe in ms]
+    dets = []
+    for pe in members:
+        c = pe.c_block()
+        d = linalg.det(c)
+        tail = xp.completion_x_tail(pe)
+        if abs(d) != 1:
+            assert tail is None
+            continue
+        dets.append(d)
+        expect = None
+        for head in ((0, -1), (-1, 0)):
+            rhs = tuple(-(head[0] * row[0] + head[1] * row[1])
+                        for row in pe.v_rows)
+            sol = _fraction_solve(c, rhs)
+            assert sol is not None
+            if embed.change_making_ok(tuple(abs(v) for v in sol)):
+                expect = sol
+                break
+        assert tail == expect
+    assert len(members) == 319
+    assert (dets.count(-1), dets.count(1)) == (69, 3)
 
 
 def test_partial_embedding_json():

@@ -1,7 +1,7 @@
 from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from threebraid import linalg
@@ -11,8 +11,8 @@ SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
 
 
 @st.composite
-def square_matrices(draw, min_size=1):
-    n = draw(st.integers(min_size, 5))
+def square_matrices(draw):
+    n = draw(st.integers(1, 5))
     row = st.tuples(*[st.integers(-6, 6)] * n)
     return tuple(draw(row) for _ in range(n))
 
@@ -73,31 +73,14 @@ def test_adjugate_exact():
     assert linalg.adjugate(((7,),)) == ((1,),)
 
 
-def test_solve_int():
-    c = ((1, 2), (0, 1))
-    assert linalg.solve_int(c, (5, 2)) == (1, 2)
-    assert linalg.solve_int(((2, 0), (0, 1)), (1, 1)) is None
-    with pytest.raises(ValueError):
-        linalg.solve_int(((1, 2), (2, 4)), (1, 1))
-
-
 @pytest.mark.parametrize("m", [((1, 0, 5), (0, 1, 7)), ((1, 0), (0, 1, 7)),
                                ((1, 0), (0,))],
                          ids=["wide", "ragged", "short-row"])
 def test_malformed_shapes_are_refused(m):
     """A non-square or ragged matrix is a ValueError, never an answer."""
-    for call in (linalg.det, linalg.adjugate,
-                 lambda m: linalg.solve_int(m, (3, 4))):
+    for call in (linalg.det, linalg.adjugate):
         with pytest.raises(ValueError, match="not square"):
             call(m)
-
-
-def test_solve_int_refuses_a_rhs_of_the_wrong_length():
-    identity = ((1, 0), (0, 1))
-    assert linalg.solve_int(identity, (3, 4)) == (3, 4)
-    for rhs in ((3, 4, 9), (3,), ()):
-        with pytest.raises(ValueError, match="right-hand side"):
-            linalg.solve_int(identity, rhs)
 
 
 @SETTINGS
@@ -109,30 +92,6 @@ def test_adjugate_identity(m):
     adj = linalg.adjugate(m)
     assert oracles.mat_mul(adj, m) == scaled
     assert oracles.mat_mul(m, adj) == scaled
-
-
-@SETTINGS
-@given(square_matrices(), st.data())
-def test_solve_int_matches_fraction_inverse(m, data):
-    assume(linalg.det(m) != 0)
-    vectors = st.tuples(*[st.integers(-20, 20)] * len(m))
-    x0 = data.draw(vectors)
-    image = tuple(sum(a * b for a, b in zip(row, x0)) for row in m)
-    assert linalg.solve_int(m, image) == x0
-    rhs = data.draw(vectors)
-    inv = oracles.fraction_inverse(m)
-    x = [sum(a * b for a, b in zip(row, rhs)) for row in inv]
-    expect = (tuple(int(v) for v in x)
-              if all(v.denominator == 1 for v in x) else None)
-    assert linalg.solve_int(m, rhs) == expect
-
-
-@SETTINGS
-@given(square_matrices(min_size=2), st.integers(-3, 3))
-def test_solve_int_rejects_singular(m, k):
-    singular = m[:-1] + (tuple(k * x for x in m[0]),)
-    with pytest.raises(ValueError):
-        linalg.solve_int(singular, (1,) * len(m))
 
 
 def test_smith_normal_form_invariants():
