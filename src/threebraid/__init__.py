@@ -18,7 +18,7 @@ from .embed import (CriterionWitness, EmbeddingMatrix, PipelineReport,
                     TheoremViolation, change_making_ok, criterion_search,
                     embed_form, extract_crossing_sigma2, normalize_sigma2,
                     normalize_sigma0_and_extract, u1_pipeline,
-                    verify_unknotting, word_symmetry_obstruction)
+                    word_symmetry_obstruction)
 from .expansions import (PartialEmbedding, generate_balanced,
                          no_orthogonal_completion,
                          orthogonal_marked_structure)

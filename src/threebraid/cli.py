@@ -109,7 +109,7 @@ def _u1_matrix(args):
     # refuses an even D, and a D not congruent to sigma + 1 mod 4; a bare
     # matrix has no word, so no s-invariant
     n = goeritz.InvariantRecord(d, args.sigma, None).n
-    stage, sols = embed.search_stage(form, not args.no_change_making)
+    stage, (sols,) = embed.search_stage([form], not args.no_change_making)
     doc = {"determinant": d, "sigma": args.sigma, "n": n,
            "stage": stage, "witnesses": [a.to_json() for a in sols],
            "note": "external matrix: no diagram, so no crossing extraction; "

@@ -291,18 +291,23 @@ def criterion_search(form, change_making=True):
     return tuple(found[k] for k in sorted(found))
 
 
-def search_stage(form, enforce_change_making):
-    """(stage, matrices) of the embedding search on a form.
+def search_stage(forms, enforce_change_making):
+    """(stage, matrices of each side) of the embedding search on one knot.
 
-    witness returns the matrices found; an empty search under the chain is
-    re-run without it, to tell change_making from search_empty.
+    forms are the Goeritz forms of every side searched for the knot: the
+    obstruction must fire on each, since the unknotting crossing may have
+    either sign.  witness when any side has a matrix; otherwise, under the
+    chain, the sides are searched again without it, stopping at the first
+    that has a matrix, to tell change_making from search_empty.
     """
-    sols = criterion_search(form, change_making=enforce_change_making)
-    if sols:
+    sols = tuple(criterion_search(form, change_making=enforce_change_making)
+                 for form in forms)
+    if any(sols):
         return "witness", sols
-    if enforce_change_making and criterion_search(form, change_making=False):
-        return "change_making", ()
-    return "search_empty", ()
+    if enforce_change_making and any(
+            criterion_search(form, change_making=False) for form in forms):
+        return "change_making", sols
+    return "search_empty", sols
 
 
 def _check_witness(a, g_matrix, n):
@@ -458,20 +463,6 @@ def normalize_sigma0_and_extract(a, form):
     return out, form.cycle_edges[edge]
 
 
-def verify_unknotting(word, ref, witness=None):
-    """Confirm that changing the crossing really yields the unknot.
-
-    Runs the rewriting test (braid.crossing_change_unknots).  When a
-    witness matrix is supplied, additionally checks |det(-C C^T)| = 1; the
-    conjunction is returned.
-    """
-    ok = crossing_change_unknots(word, ref)
-    if witness is not None:
-        c = witness.c_block()
-        ok = ok and abs(linalg.det(linalg.neg(linalg.gram(c)))) == 1
-    return ok
-
-
 def word_symmetry_obstruction(word):
     """Run the correction-term symmetry test on a word, handling orientation.
 
@@ -622,9 +613,10 @@ def u1_pipeline(word, enforce_change_making=True):
     """Decide unknotting number one for an alternating 3-braid knot closure.
 
     Mirrors so the signature is 0 or 2; signature-0 inputs run on both the
-    word and its mirror, covering both unknotting crossing signs.  The
-    verdict is sound in both directions: obstructed certifies u != 1, and
-    every witness carries a crossing checked by the rewriting test.
+    word and its mirror, covering both unknotting crossing signs, and one
+    search_stage call decides the stage over every side.  The verdict is
+    sound in both directions: obstructed certifies u != 1, and every
+    witness carries a crossing checked by the rewriting test.
     """
     word = AltBraidWord.canonical(word.pairs)
     rec = invariants(word)
@@ -650,16 +642,13 @@ def u1_pipeline(word, enforce_change_making=True):
         if mirrored != work:
             sides.append((mirrored, True))
 
+    forms = [goeritz_3braid(side_word) for side_word, _ in sides]
+    stage, found = search_stage(forms, enforce_change_making)
+    case = "sigma2" if sigma == 2 else "sigma0"
     witnesses = []
-    stages = []
-    for side_word, side_mirrored in sides:
-        g = goeritz_3braid(side_word)
-        stage, sols = search_stage(g, enforce_change_making)
-        stages.append(stage)
+    for (side_word, side_mirrored), g, sols in zip(sides, forms, found):
         for a in sols:
             crossing = None
-            verified = False
-            case = "sigma2" if sigma == 2 else "sigma0"
             try:
                 if sigma == 2:
                     crossing = extract_crossing_sigma2(normalize_sigma2(a), g)
@@ -668,16 +657,12 @@ def u1_pipeline(word, enforce_change_making=True):
             except TheoremViolation:
                 if enforce_change_making:
                     raise
-            if crossing is not None:
-                verified = verify_unknotting(side_word, crossing, a)
+            verified = (crossing is not None
+                        and crossing_change_unknots(side_word, crossing))
             witnesses.append(CriterionWitness(
                 a, crossing, verified, case,
                 mirrored=side_mirrored != mirrored_input))
 
-    if witnesses and (not enforce_change_making
-                      or all(w.verified for w in witnesses)):
-        return report("witness", witnesses)
-    if witnesses:
+    if enforce_change_making and not all(w.verified for w in witnesses):
         raise TheoremViolation("witness found but its crossing failed to verify")
-    stage = "change_making" if "change_making" in stages else "search_empty"
-    return report(stage)
+    return report(stage, witnesses)

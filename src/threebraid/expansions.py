@@ -566,21 +566,22 @@ def completion_x_tail(pe):
     A full witness needs x = (0, 1, xbar) orthogonal to every cycle row
     with the head entries living on the meridian columns, that is
     C xbar = -z for each of the two allowed head sign patterns.  The tail
-    exists only when d = det(C) = +-1, and then C^-1 = d adj(C), so it is
-    read off as d adj(C) (-z), one adjugate per member.  Returns the first
-    tail whose sorted absolute values obey change-making, else None.  A
-    non-member is refused with a ValueError.
+    exists only when d = det(C) = +-1, and then Cramer's rule reads entry i
+    as d det(C with column i replaced by -z), r determinants per head
+    pattern.  Returns the first tail whose sorted absolute values obey
+    change-making, else None.  A non-member is refused with a ValueError.
     """
     c = _validate(pe).c_block()
     d = linalg.det(c)
     if abs(d) != 1:
         return None
-    inverse = tuple(tuple(d * v for v in row) for row in linalg.adjugate(c))
     for head in ((0, -1), (-1, 0)):
         rhs = tuple(-sum(map(mul, head, row[:2])) for row in pe.v_rows)
-        tail = tuple(sum(map(mul, row, rhs)) for row in inverse)
+        tail = tuple(d * linalg.det([row[:i] + (b,) + row[i + 1:]
+                                     for row, b in zip(c, rhs)])
+                     for i in range(len(c)))
         if tuple(sum(map(mul, row, tail)) for row in c) != rhs:
-            raise TheoremViolation("d adj(C) failed to solve C xbar = -z")
+            raise TheoremViolation("Cramer's rule failed to solve C xbar = -z")
         if change_making_ok(tuple(abs(v) for v in tail)):
             return tail
     return None

@@ -2,9 +2,8 @@
 
 Matrices are tuples of tuples of Python ints (rows).  Everything here is
 integer: determinants use fraction-free (Bareiss) elimination, the
-adjugate is the one inverse (forms scores covectors by c adj(M) c^T, and
-the blockade solves its unimodular block by C^-1 = det(C) adj(C)), and
-the Smith normal form is computed with integer row/column operations.
+adjugate has one use (forms scores covectors by c adj(M) c^T), and the
+Smith normal form is computed with integer row/column operations.
 Sizes in this package stay below ~30, so asymptotics are irrelevant;
 exactness is not.
 """

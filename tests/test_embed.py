@@ -87,7 +87,7 @@ def test_criterion_refuses_malformed_raw_forms(matrix, message):
         embed.embed_form(matrix, 2)
     for enforce in (True, False):
         with pytest.raises(ValueError, match=message):
-            embed.search_stage(matrix, enforce)
+            embed.search_stage([matrix], enforce)
 
 
 def _sweep_sides(monkeypatch):
@@ -95,10 +95,11 @@ def _sweep_sides(monkeypatch):
     exponent <= 12, keyed by (matrix, n)."""
     sides = {}
 
-    def record(form, enforce):
-        n = (goeritz.determinant(form) + 1) // 2
-        sides.setdefault((form.matrix, n), form)
-        return "search_empty", ()
+    def record(forms, enforce):
+        for form in forms:
+            n = (goeritz.determinant(form) + 1) // 2
+            sides.setdefault((form.matrix, n), form)
+        return "search_empty", tuple(() for _ in forms)
 
     monkeypatch.setattr(embed, "search_stage", record)
     for word in braid.alt_words(12):
@@ -259,7 +260,9 @@ def test_normalize_sigma0_fig8():
     norm, ref = embed.normalize_sigma0_and_extract(sols[0], g)
     assert norm.y_row == (1, 1, 0, 0)
     assert ref in g.cycle_edges
-    assert embed.verify_unknotting(word, ref, sols[0])
+    assert braid.crossing_change_unknots(word, ref)
+    c = sols[0].c_block()
+    assert abs(linalg.det(linalg.neg(linalg.gram(c)))) == 1
     i = [t for t, row in enumerate(norm.v_rows) if row[:2] == (1, -1)]
     j = [t for t, row in enumerate(norm.v_rows) if row[:2] == (-1, 1)]
     assert len(i) == len(j) == 1
@@ -286,27 +289,13 @@ def test_normalize_sigma0_orthogonal_marks_rejected():
 def test_verify_unknotting(w87):
     g = goeritz.goeritz_3braid(w87)
     a = EmbeddingMatrix(A87)
-    assert embed.verify_unknotting(w87, CrossingRef(2, 0), a)
-    assert not embed.verify_unknotting(w87, CrossingRef(0, 0))
+    assert braid.crossing_change_unknots(w87, CrossingRef(2, 0))
+    assert not braid.crossing_change_unknots(w87, CrossingRef(0, 0))
     c = a.c_block()
+    assert abs(linalg.det(linalg.neg(linalg.gram(c)))) == 1
     expect = [list(r) for r in g.matrix]
     expect[1][1] = -1
     assert linalg.neg(linalg.gram(c)) == tuple(tuple(r) for r in expect)
-
-
-def test_verify_unknotting_agrees_with_family_test():
-    """Both read the one crossing-change test, on every block up to exponent 9."""
-    blocks = 0
-    for word in braid.alt_words(9):
-        if not braid.is_knot_closure(word.raw()):
-            continue
-        found = braid.unknotting_crossings(word)
-        for idx in range(2 * word.m):
-            ref = CrossingRef(idx, 0)
-            assert embed.verify_unknotting(word, ref) == (ref in found), \
-                (word.pairs, idx)
-            blocks += 1
-    assert blocks == 128
 
 
 def test_pipeline_8_7(w87):
@@ -335,6 +324,27 @@ def test_pipeline_stages():
     assert embed.u1_pipeline(AltBraidWord(((1, 1),))).stage == "parity"
     with pytest.raises(ValueError):
         embed.u1_pipeline(AltBraidWord(((2, 2),)))   # link closure
+
+
+def test_relaxed_search_only_when_no_side_has_a_witness(monkeypatch):
+    """The stage is the knot's: the chain-free re-search runs only when no
+    side has a witness, and stops at the first side that has a matrix.
+    Counted over the 103 knot words of exponent <= 10."""
+    calls = Counter()
+    search = embed.criterion_search
+
+    def counted(form, change_making=True):
+        calls[change_making] += 1
+        return search(form, change_making=change_making)
+
+    monkeypatch.setattr(embed, "criterion_search", counted)
+    words = [w for w in braid.alt_words(10) if braid.is_knot_closure(w.raw())]
+    assert len(words) == 103
+    for word in words:
+        relaxed = calls[False]
+        if embed.u1_pipeline(word).stage == "witness":
+            assert calls[False] == relaxed, word.pairs
+    assert (calls[True], calls[False]) == (78, 39)
 
 
 def test_pipeline_mirror_side():
