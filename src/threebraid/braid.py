@@ -38,21 +38,6 @@ class RawBraidWord:
             if e == 0:
                 raise BraidSyntaxError("zero exponent letter")
 
-    @property
-    def is_identity(self):
-        return not self.letters
-
-    def total_exponent(self):
-        """Number of crossings in the diagram."""
-        return sum(abs(e) for _, e in self.letters)
-
-    def to_json(self):
-        return [[g, e] for g, e in self.letters]
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(_json_pairs(data))
-
 
 @dataclass(frozen=True)
 class AltBraidWord:
@@ -77,9 +62,6 @@ class AltBraidWord:
     @property
     def r(self):
         return sum(b for _, b in self.pairs)
-
-    def total_exponent(self):
-        return sum(a + b for a, b in self.pairs)
 
     def raw(self):
         letters = []
@@ -158,8 +140,8 @@ def parse_braid_word(text):
 
     >>> parse_braid_word("s1^-4 s2 s1^-1 s2^2").letters
     ((1, -4), (2, 1), (1, -1), (2, 2))
-    >>> parse_braid_word("s1 s1^-1").is_identity
-    True
+    >>> parse_braid_word("s1 s1^-1").letters
+    ()
     """
     letters = []
     for token in text.split():

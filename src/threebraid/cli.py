@@ -24,12 +24,13 @@ def _load_matrix(path):
 
 
 def _emit(args, doc, text_lines):
-    for line in text_lines:
-        print(line)
-    if getattr(args, "out", None):
+    """Write the --out file, then print: an unwritable file prints nothing."""
+    if args.out:
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    for line in text_lines:
+        print(line)
 
 
 def _one_input(args, *names):

@@ -54,8 +54,8 @@ class CokerMap:
     """Presentation of coker(M) = Z^k / im(M) with a class labelling.
 
     invariant_factors lists the nontrivial cyclic orders.  For cyclic odd
-    order the label function maps a dual covector to Z/D; twist knot forms
-    get the exact labelling (a, b) -> a + n*b.
+    order a dual covector's label in Z/D is its dot product with label_row;
+    twist knot forms get the exact labelling (a, b) -> a + n*b.
     """
 
     matrix: tuple
@@ -93,12 +93,6 @@ class CokerMap:
         if not self.invariant_factors:
             return (0,) * len(self.matrix)
         return self.transform[self.factor_rows[0]]
-
-    def label(self, vec):
-        """Label in Z/D for cyclic cokernels of order D."""
-        if len(vec) != len(self.matrix):
-            raise ValueError("dimension mismatch")
-        return sum(w * v for w, v in zip(self.label_row, vec)) % self.order
 
 
 def coker_map(m):
@@ -141,9 +135,6 @@ class DTable:
                 raise ValueError("conjugation symmetry broken")
             if (4 * D * v).denominator != 1:
                 raise ValueError(f"value {v} too far from integral")
-
-    def __getitem__(self, i):
-        return self.values[i % self.determinant]
 
     @property
     def quarters(self):

@@ -33,10 +33,6 @@ class GoeritzForm:
     region_map: tuple = None
     cycle_edges: tuple = None
 
-    @property
-    def r(self):
-        return len(self.matrix)
-
     def to_json(self):
         return {"goeritz": [list(row) for row in self.matrix]}
 
@@ -192,7 +188,10 @@ def load_goeritz_json(text):
     integer matrix; the all-positive-incidence alternating convention is
     assumed and not checkable from the matrix alone.
     """
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("the JSON nests too deeply") from None
     if not isinstance(data, dict) or "goeritz" not in data:
         raise ValueError('expected an object with a "goeritz" key')
     rows = data["goeritz"]

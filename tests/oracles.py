@@ -114,7 +114,7 @@ def flip_hub_crossing(form, region):
 
 def flip_cycle_crossing(form, i):
     """Goeritz matrix after flipping the incidence of cycle edge (i, i+1)."""
-    r = form.r
+    r = len(form.matrix)
     j = (i + 1) % r
     rows = [list(row) for row in form.matrix]
     rows[i][j] -= 2
@@ -275,7 +275,7 @@ def box_d_table_sharp(m):
     best = [None] * D
     for c in char_box(m):
         sq = (-1) ** k * adjugate_square(adj, c)
-        label = (coker.label(c) * inv2) % D
+        label = (sum(map(mul, coker.label_row, c)) * inv2) % D
         if best[label] is None or sq > best[label]:
             best[label] = sq
     if any(b is None for b in best):
@@ -319,7 +319,7 @@ def closed_form_unknot_table(D):
     for i in range(n + 1):
         squares = []
         for alpha in table_maximizers(D, i):
-            if coker.label(alpha) != (2 * i) % D:
+            if sum(map(mul, coker.label_row, alpha)) % D != (2 * i) % D:
                 raise TheoremViolation(f"maximizer {alpha} has the wrong label")
             if any((a - rn[t][t]) % 2 for t, a in enumerate(alpha)):
                 raise TheoremViolation(f"maximizer {alpha} is not characteristic")
@@ -809,7 +809,7 @@ def retired_witness_key(c_rows, z, xbar, auts):
 def witness_class_key(a, g_matrix):
     """The library's class key (embed._witness_key) of an embedding matrix."""
     z = tuple(row[0] for row in a.v_rows)
-    return embed._witness_key(z, a.x_row[2:],
+    return embed._witness_key(z, a.rows[-2][2:],
                               embed.form_automorphisms(g_matrix))
 
 
@@ -1246,8 +1246,9 @@ def retired_halfint_symmetry_test(table, unknot):
     for u in range(1, D):
         if gcd(u, D) != 1:
             continue
-        if all(table[u * i] - unknot[i]
-               == table[u * (2 * k - i)] - unknot[2 * k - i] for i in idxs):
+        if all(table.values[u * i % D] - unknot.values[i]
+               == table.values[u * (2 * k - i) % D] - unknot.values[2 * k - i]
+               for i in idxs):
             return True
     return False
 

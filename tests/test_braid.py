@@ -14,7 +14,7 @@ from oracles import TaggedDiagram
 def test_parse_examples():
     assert braid.parse_braid_word("s1^-4 s2 s1^-1 s2^2").letters == \
         ((1, -4), (2, 1), (1, -1), (2, 2))
-    assert braid.parse_braid_word("s1 s1^-1").is_identity
+    assert braid.parse_braid_word("s1 s1^-1").letters == ()
     with pytest.raises(BraidSyntaxError):
         braid.parse_braid_word("s3^2")
     with pytest.raises(BraidSyntaxError):
@@ -175,7 +175,7 @@ def test_rewriting_termination_bound():
         for block in range(0, 2 * word.m, 2):
             changed = braid.change_crossing(word, CrossingRef(block, 0))
             out = braid.reduce_almost_alternating(changed)
-            n = changed.total_exponent()
+            n = len(braid.symbols_of(changed))
             assert len(out.trace) <= 4 * n * n
 
 
@@ -260,8 +260,6 @@ def test_enumerate_smallest_bound():
 
 
 def test_word_json_roundtrip():
-    w = braid.parse_braid_word("s1^-4 s2 s1^-1 s2^2")
-    assert RawBraidWord.from_json(w.to_json()) == w
     word = AltBraidWord(((4, 1), (1, 2)))
     assert AltBraidWord.from_json(word.to_json()) == word
 

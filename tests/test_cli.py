@@ -127,6 +127,22 @@ def test_empty_matrix_is_refused(capsys, tmp_path, command):
     assert code == 2 and out == "" and "no rows" in err
 
 
+def test_over_nested_matrix_is_refused(capsys, tmp_path):
+    """JSON nested past the parser's recursion limit is malformed input."""
+    path = tmp_path / "g.json"
+    path.write_text('{"goeritz": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run_cli(capsys, "u1", "--matrix", str(path), "--sigma", "2")
+    assert code == 2 and out == "" and "nests too deeply" in err
+
+
+def test_unwritable_out_prints_nothing(capsys, tmp_path):
+    """The --out file is written before the text, so a failed write exits 2
+    with nothing on standard output."""
+    code, out, _ = run_cli(capsys, "dtable", "--unknot", "3",
+                           "--out", str(tmp_path / "missing" / "x.json"))
+    assert code == 2 and out == ""
+
+
 def test_u1_input_errors(capsys):
     code, _, err = run_cli(capsys, "u1", "s3^2")
     assert code == 2 and "generator" in err
@@ -307,10 +323,10 @@ GOLDEN_ARGV = [
 GOLDEN_SHA256 = "fcdcb640954127473ac92caf91b37ccf675570599979848d45e27567d7947b72"
 
 
-def test_golden_output(capsys, tmp_path, monkeypatch, g87_matrix):
-    """One sha256 pins the exit code, stdout and --out file of each command."""
+def run_golden(capsys, g87_matrix):
+    """[argv, exit code, stdout, --out file] of each GOLDEN_ARGV command, run
+    in the working directory after writing the matrix files they read."""
     from threebraid.forms import PRETZEL_FORM
-    monkeypatch.chdir(tmp_path)
     for name, matrix in (("g87.json", g87_matrix), ("pretzel.json", PRETZEL_FORM)):
         Path(name).write_text(json.dumps({"goeritz": [list(r) for r in matrix]}))
     record = []
@@ -318,5 +334,12 @@ def test_golden_output(capsys, tmp_path, monkeypatch, g87_matrix):
         code, out, _ = run_cli(capsys, *argv, "--out", "out.json")
         record.append([argv, code, out, Path("out.json").read_text()])
         Path("out.json").unlink()
+    return record
+
+
+def test_golden_output(capsys, tmp_path, monkeypatch, g87_matrix):
+    """One sha256 pins the exit code, stdout and --out file of each command."""
+    monkeypatch.chdir(tmp_path)
+    record = run_golden(capsys, g87_matrix)
     digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
     assert digest == GOLDEN_SHA256

@@ -34,9 +34,9 @@ def test_embedding_matrix_reads_r_from_rows():
     a = EmbeddingMatrix(A87)
     assert a.r == 3
     assert a.v_rows == ((0, 0, 1, 2, -1), (1, 1, -1, 0, 0), (0, 0, 1, -1, 0))
-    assert a.x_row == (0, 1, 1, 1, 3)
+    assert a.rows[-2] == (0, 1, 1, 1, 3)
     assert a.y_row == (1, -1, 0, 0, 0)
-    assert a.c_block() == ((1, 2, -1), (-1, 0, 0), (1, -1, 0))
+    assert tuple(row[2:] for row in a.v_rows) == ((1, 2, -1), (-1, 0, 0), (1, -1, 0))
 
 
 def test_criterion_10_79(w1079, g1079_matrix):
@@ -44,7 +44,7 @@ def test_criterion_10_79(w1079, g1079_matrix):
     assert embed.criterion_search(g) == ()
     relaxed = embed.criterion_search(g, change_making=False)
     assert len(relaxed) == 1
-    assert tuple(sorted(relaxed[0].x_row[2:])) == (2, 2, 2, 3, 3)
+    assert tuple(sorted(relaxed[0].rows[-2][2:])) == (2, 2, 2, 3, 3)
     displayed = EmbeddingMatrix(A1079)
     assert oracles.witness_class_key(relaxed[0], g1079_matrix) == \
         oracles.witness_class_key(displayed, g1079_matrix)
@@ -159,7 +159,7 @@ def test_witness_invariants():
             continue
         for a in embed.criterion_search(g):
             assert abs(linalg.det(a.rows)) == d
-            assert abs(linalg.det(a.c_block())) == 1
+            assert abs(linalg.det(tuple(row[2:] for row in a.v_rows))) == 1
             gram = linalg.neg(linalg.gram(a.rows))
             r = a.r
             for i in range(r):
@@ -261,7 +261,7 @@ def test_normalize_sigma0_fig8():
     assert norm.y_row == (1, 1, 0, 0)
     assert ref in g.cycle_edges
     assert braid.crossing_change_unknots(word, ref)
-    c = sols[0].c_block()
+    c = tuple(row[2:] for row in sols[0].v_rows)
     assert abs(linalg.det(linalg.neg(linalg.gram(c)))) == 1
     i = [t for t, row in enumerate(norm.v_rows) if row[:2] == (1, -1)]
     j = [t for t, row in enumerate(norm.v_rows) if row[:2] == (-1, 1)]
@@ -291,7 +291,7 @@ def test_verify_unknotting(w87):
     a = EmbeddingMatrix(A87)
     assert braid.crossing_change_unknots(w87, CrossingRef(2, 0))
     assert not braid.crossing_change_unknots(w87, CrossingRef(0, 0))
-    c = a.c_block()
+    c = tuple(row[2:] for row in a.v_rows)
     assert abs(linalg.det(linalg.neg(linalg.gram(c)))) == 1
     expect = [list(r) for r in g.matrix]
     expect[1][1] = -1

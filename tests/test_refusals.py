@@ -206,7 +206,7 @@ def test_refusals_of_the_recorded_cases(w87):
             with_witness(report, crossing={"letter": 1.7, "slot": "0"})),
         lambda: embed.PipelineReport.from_json(
             with_witness(report, crossing={"letter": 1, "slot": False})),
-        lambda: RawBraidWord.from_json([[1, -1.5]]),
+        lambda: RawBraidWord(((1, -1.5),)),
         lambda: RawBraidWord(((True, -1),)),
         lambda: embed.PipelineReport.from_json(
             dict(report, change_making_enforced="false")),
@@ -252,7 +252,6 @@ def test_refusals_of_the_recorded_cases(w87):
         lambda: embed.PipelineReport.from_json(with_witness(report, crossing=5)),
         lambda: AltBraidWord.from_json(5),
         lambda: AltBraidWord.from_json([5]),
-        lambda: RawBraidWord.from_json(5),
         lambda: AltBraidWord((5,)),
         lambda: AltBraidWord.canonical([5]),
         lambda: RawBraidWord((5,)),

@@ -2,9 +2,11 @@ import ast
 import doctest
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import threebraid
+from test_cli import run_golden
 
 
 def _library_trees():
@@ -160,3 +162,76 @@ def test_package_exports_are_reached_from_cli():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert exported - reached_names == {"no_orthogonal_completion",
                                         "orthogonal_marked_structure"}
+
+
+def _library_functions():
+    """'file:qualified name' of every function and method the library
+    defines, nested ones included, named as their code objects name them."""
+    found = set()
+
+    def walk(node, file, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.add(f"{file}:{prefix}{child.name}")
+                walk(child, file, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, file, f"{prefix}{child.name}.")
+            else:
+                walk(child, file, prefix)
+
+    for file, tree in _library_trees():
+        walk(tree, file, "")
+    return found
+
+
+# What no golden command runs, with the reason each is kept.
+NO_COMMAND_RUNS = {
+    "expansions.py:orthogonal_marked_structure":
+        "the staircase check; perfbench's partials batch runs it (ROADMAP 1c)",
+    "expansions.py:_block_candidates": "part of the staircase check",
+    "expansions.py:_staircase_ok": "part of the staircase check",
+    "expansions.py:_marks_ok": "part of the staircase check",
+    "expansions.py:no_orthogonal_completion":
+        "the blockade over fresh layers; perfbench's partials batch runs it",
+    "embed.py:PipelineReport.from_json":
+        "the u1 certificate reader README documents (ROADMAP item 3)",
+    "embed.py:_same": "PipelineReport.from_json's type-strict comparison",
+    "braid.py:AltBraidWord.from_json": "reads the word of a u1 certificate",
+    "braid.py:_json_pairs": "AltBraidWord.from_json's list-of-pairs check",
+    "forms.py:DTable.from_json":
+        "the dtable document reader README documents (ROADMAP item 3)",
+    "cli.py:main": "the console-script entry point around cli.run",
+    "forms.py:NonCyclicCokernel.__init__":
+        "no golden command meets a non-cyclic cokernel",
+}
+
+
+def test_library_functions_no_command_runs(capsys, tmp_path, monkeypatch,
+                                           g87_matrix):
+    """Every golden command runs in process under a profile hook, from cold
+    caches; the library functions and methods that never run are pinned.
+
+    Library code that no command runs must be wired in, moved to the tests,
+    or listed in NO_COMMAND_RUNS with its reason.
+    """
+    package = Path(threebraid.__file__).parent
+    for module in pkgutil.iter_modules(threebraid.__path__):
+        for value in vars(importlib.import_module(
+                f"threebraid.{module.name}")).values():
+            getattr(value, "cache_clear", lambda: None)()
+    codes = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    monkeypatch.chdir(tmp_path)
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run_golden(capsys, g87_matrix)
+    finally:
+        sys.setprofile(previous)
+    ran = {f"{Path(code.co_filename).name}:{code.co_qualname}"
+           for code in codes if Path(code.co_filename).parent == package}
+    assert _library_functions() - ran == set(NO_COMMAND_RUNS)
