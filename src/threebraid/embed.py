@@ -24,8 +24,8 @@ from operator import mul
 from . import linalg
 from .braid import AltBraidWord, CrossingRef, crossing_change_unknots
 from .forms import symmetry_sides, twist_knot_form
-from .goeritz import (GoeritzForm, determinant, goeritz_3braid, invariants,
-                      mirror_word, signature_normal_form)
+from .goeritz import (GoeritzForm, determinant, goeritz_3braid,
+                      invariants_and_form, mirror_word, signature_normal_form)
 from .linalg import TheoremViolation
 
 
@@ -58,7 +58,10 @@ def change_making_ok(xs):
     """Whether sorted coin values can make every amount up to their total.
 
     The chain condition: x_3 <= 1 and each value at most one more than the
-    sum of the smaller ones.  The empty sequence qualifies.
+    sum of the smaller ones.  The empty sequence qualifies.  On sorted
+    tuples the chain is prefix-closed: every prefix of a tuple that passes
+    it passes too, so filtering complete tuples by it keeps exactly what
+    pruning each prefix by it keeps.
 
     >>> change_making_ok((1, 1, 3))
     True
@@ -73,26 +76,37 @@ def change_making_ok(xs):
     return True
 
 
-def _x_tails(r, target, change_making):
-    """Nondecreasing nonnegative r-tuples with squares summing to target."""
+@lru_cache(maxsize=None)
+def _square_tuples(r, target):
+    """Nondecreasing nonnegative r-tuples with squares summing to target,
+    in lexicographic order.  The cache lives as long as the process."""
     out = []
+    entries = [0] * r
 
-    def rec(prefix, sumsq):
-        slots = r - len(prefix)
+    def rec(idx, v, sumsq):
+        slots = r - idx
         if slots == 0:
             if sumsq == target:
-                out.append(tuple(prefix))
+                out.append(tuple(entries))
             return
-        v = prefix[-1] if prefix else 0
         # entries are nondecreasing, so every remaining slot is at least v
         while sumsq + v * v * slots <= target:
-            if change_making and not change_making_ok(prefix + [v]):
-                break
-            rec(prefix + [v], sumsq + v * v)
+            entries[idx] = v
+            rec(idx + 1, v, sumsq + v * v)
             v += 1
 
-    rec([], 0)
-    return out
+    rec(0, 0, 0)
+    return tuple(out)
+
+
+def _x_tails(r, target, change_making):
+    """Nondecreasing nonnegative r-tuples with squares summing to target,
+    in lexicographic order; with change_making, those that obey the chain.
+
+    One cached enumeration per (r, target) serves both modes, so the
+    strict and the relaxed search of a side build it once."""
+    tails = _square_tuples(r, target)
+    return tuple(filter(change_making_ok, tails)) if change_making else tails
 
 
 # one tuple per distinct candidate row, shared by every _row_candidates key
@@ -610,7 +624,7 @@ def u1_pipeline(word, enforce_change_making=True):
     witness carries a crossing checked by the rewriting test.
     """
     word = AltBraidWord.canonical(word.pairs)
-    rec = invariants(word)
+    rec, form = invariants_and_form(word)
     sigma0 = rec.signature
 
     def report(stage, witnesses=()):
@@ -633,7 +647,9 @@ def u1_pipeline(word, enforce_change_making=True):
         if mirrored != work:
             sides.append((mirrored, True))
 
-    forms = [goeritz_3braid(side_word) for side_word, _ in sides]
+    # the input's own side reuses the form its determinant was read from
+    forms = [form if side_word == word else goeritz_3braid(side_word)
+             for side_word, _ in sides]
     stage, found = search_stage(forms, enforce_change_making)
     case = "sigma2" if sigma == 2 else "sigma0"
     witnesses = []

@@ -174,11 +174,18 @@ class InvariantRecord:
 
 def invariants(word):
     """InvariantRecord of an alternating word with knot closure (d = 0)."""
+    return invariants_and_form(word)[0]
+
+
+def invariants_and_form(word):
+    """invariants(word) and the Goeritz form its determinant was read from."""
     if not is_knot_closure(word.raw()):
         raise ValueError("closure is not a knot")
-    det = determinant(goeritz_3braid(word))
+    form = goeritz_3braid(word)
     sigma = signature_normal_form(0, word)
-    return InvariantRecord(det, sigma, s_invariant_normal_form(0, word))
+    record = InvariantRecord(determinant(form), sigma,
+                             s_invariant_normal_form(0, word))
+    return record, form
 
 
 def load_goeritz_json(text):

@@ -1,3 +1,5 @@
+import importlib
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -5,7 +7,16 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import threebraid
 from threebraid.braid import AltBraidWord
+
+
+def clear_library_caches():
+    """Empty every lru_cache of the threebraid modules, as a fresh process."""
+    for module in pkgutil.iter_modules(threebraid.__path__):
+        for value in vars(importlib.import_module(
+                f"threebraid.{module.name}")).values():
+            getattr(value, "cache_clear", lambda: None)()
 
 
 @pytest.fixture

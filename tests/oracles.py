@@ -32,7 +32,10 @@ scans every row's whole candidate pool and keys each class by
 (`retired_canonical_columns`) under every row symmetry, is the retired
 form of `embed.criterion_search`, which keys a class by the x tail and
 the orbit of z alone; `witness_class_key` reads that key off a finished
-embedding matrix, so tests can compare classes.  `retired_row_candidates`, uncached and
+embedding matrix, so tests can compare classes.  `retired_x_tails`, which
+prunes each prefix of an x tail by the change-making chain, is the retired
+form of `embed._x_tails`, which filters one cached enumeration per (rank,
+target) by the chain.  `retired_row_candidates`, uncached and
 building a new tuple for every row, is the retired form of
 `embed._row_candidates`, which hands out one shared tuple per distinct
 row.  `signed_column_canonical` is the retired
@@ -651,6 +654,31 @@ def brute_balanced(r):
         rec(0, False, False, [0] * width,
             [False, False] + [True] * (width - 3))
     return found
+
+
+def retired_x_tails(r, target, change_making):
+    """Nondecreasing nonnegative r-tuples with squares summing to target.
+
+    The retired form of embed._x_tails: uncached, pruning each prefix by
+    the change-making chain when change_making is set."""
+    out = []
+
+    def rec(prefix, sumsq):
+        slots = r - len(prefix)
+        if slots == 0:
+            if sumsq == target:
+                out.append(tuple(prefix))
+            return
+        v = prefix[-1] if prefix else 0
+        # entries are nondecreasing, so every remaining slot is at least v
+        while sumsq + v * v * slots <= target:
+            if change_making and not embed.change_making_ok(prefix + [v]):
+                break
+            rec(prefix + [v], sumsq + v * v)
+            v += 1
+
+    rec([], 0)
+    return out
 
 
 def retired_row_candidates(diag, xbar):

@@ -9,7 +9,7 @@ from threebraid.braid import AltBraidWord, CrossingRef
 from threebraid.embed import EmbeddingMatrix, TheoremViolation
 
 import oracles
-from conftest import A87, A1079
+from conftest import A87, A1079, clear_library_caches
 
 
 def test_change_making():
@@ -18,6 +18,60 @@ def test_change_making():
     assert embed.change_making_ok(())
     assert embed.change_making_ok((3, 1, 1))      # sorts internally
     assert not embed.change_making_ok((0, 2))
+
+
+def test_x_tails_match_retired_pruning():
+    """Filtering the cached enumeration by the chain gives the tails that
+    pruning each prefix gave, in the same order."""
+    for r in range(9):
+        for target in range(61):
+            for change_making in (True, False):
+                assert list(embed._x_tails(r, target, change_making)) == \
+                    oracles.retired_x_tails(r, target, change_making)
+
+
+def test_x_tail_lists_are_built_once_per_rank_and_target(monkeypatch):
+    """From cold caches, one enumeration per distinct (r, n - 1) among the
+    sides searched, however many strict and relaxed searches read it."""
+    clear_library_caches()
+    keys, relaxed = [], []
+    search = embed.criterion_search
+
+    def record(form, change_making=True):
+        keys.append((len(form.matrix), (goeritz.determinant(form) - 1) // 2))
+        relaxed.append(not change_making)
+        return search(form, change_making)
+
+    monkeypatch.setattr(embed, "criterion_search", record)
+    for word in braid.alt_words(10):
+        if braid.is_knot_closure(word.raw()):
+            embed.u1_pipeline(word)
+    assert any(relaxed) and len(keys) > len(set(keys))
+    assert embed._square_tuples.cache_info().misses == len(set(keys))
+
+
+def test_pipeline_builds_each_words_form_once(monkeypatch):
+    """The input's form serves both its determinant and its own side, so
+    u1_pipeline builds one form per distinct word it reads."""
+    built = []
+    build = goeritz.goeritz_3braid
+
+    def record(word):
+        built.append(word)
+        return build(word)
+
+    monkeypatch.setattr(goeritz, "goeritz_3braid", record)
+    monkeypatch.setattr(embed, "goeritz_3braid", record)
+    for word in braid.alt_words(9):
+        if not braid.is_knot_closure(word.raw()):
+            continue
+        built.clear()
+        report = embed.u1_pipeline(word)
+        # sigma 0 searches the word and its mirror, sigma -2 the mirror alone
+        words = {word}
+        if report.stage not in ("sigma_bound", "parity") and report.sigma != 2:
+            words.add(goeritz.mirror_word(word))
+        assert sorted(w.pairs for w in built) == sorted(w.pairs for w in words)
 
 
 def test_criterion_8_7(w87, g87_matrix):

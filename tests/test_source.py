@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import threebraid
+from conftest import clear_library_caches
 from test_cli import run_golden
 
 
@@ -215,10 +216,7 @@ def test_library_functions_no_command_runs(capsys, tmp_path, monkeypatch,
     or listed in NO_COMMAND_RUNS with its reason.
     """
     package = Path(threebraid.__file__).parent
-    for module in pkgutil.iter_modules(threebraid.__path__):
-        for value in vars(importlib.import_module(
-                f"threebraid.{module.name}")).values():
-            getattr(value, "cache_clear", lambda: None)()
+    clear_library_caches()
     codes = set()
 
     def hook(frame, event, arg):
