@@ -18,7 +18,7 @@ independently checked to give the unknot.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 
 from . import linalg
@@ -203,6 +203,21 @@ def _witness_key(z, xbar, auts):
                       for sign in (1, -1) for p in auts))
 
 
+def _linking_form_ok(matrix, d, n):
+    """Whether P = -matrix, of determinant d = 2n - 1, passes the
+    linking-form test that the form of every witness passes.
+
+    coker P is cyclic exactly when the gcd of the entries of adj(P), the
+    (r-1)-minors of P, is 1; and each adj(P)_ii (n - 1) must be a square
+    mod d (criterion_search says why).
+    """
+    adj = linalg.adjugate(linalg.neg(matrix))
+    if gcd(*(v for row in adj for v in row)) != 1:
+        return False
+    squares = {s * s % d for s in range(d // 2 + 1)}
+    return all(adj[i][i] * (n - 1) % d in squares for i in range(len(adj)))
+
+
 def criterion_search(form, change_making=True):
     """All witness matrices for a Goeritz form of determinant D = 2n-1.
 
@@ -220,6 +235,18 @@ def criterion_search(form, change_making=True):
     and the remaining checks only drop entries, so the search reaches the
     same leaves in the same order as a plain scan of the pool; each class
     therefore keeps its first-found representative.
+
+    Before any x tail, a side is refuted by its linking form.  A witness
+    makes P = -G isometric to L = (Z^r, I + 2 xbar xbar^T): C C^T = P -
+    2 z z^T and C xbar = -z give P = C L C^T, with det C = +-1.  In
+    coker L every e_j is -2 x_j xbar, so it is cyclic of order D; and
+    w L^-1 w^T = |w|^2 - 2 (w . xbar)^2 / D, so each e_i P^-1 e_i^T, which
+    is adj(P)_ii / D, is -2 s^2 / D mod 1 for an integer s.  As -2 (n - 1)
+    = 1 - D, that says adj(P)_ii (n - 1) is a square mod D.  This is
+    Lickorish's obstruction, linking form +-2/D (Contemp. Math. 44, 1985),
+    with the cyclic H_1 condition (Wendt, Math. Z. 42, 1937).  Neither
+    test reads the tail or the chain, so a side that fails either has no
+    witness in either mode, and the search returns () at once.
     """
     if isinstance(form, GoeritzForm):
         matrix = form.matrix
@@ -232,6 +259,8 @@ def criterion_search(form, change_making=True):
     if d < 3 or d % 2 == 0:
         raise ValueError(f"need an odd determinant 2n - 1 with n >= 2, not {d}")
     n = (d + 1) // 2
+    if not _linking_form_ok(matrix, d, n):
+        return ()
     diag = [-matrix[i][i] for i in range(r)]
     auts = form_automorphisms(matrix)
 
@@ -253,12 +282,12 @@ def criterion_search(form, change_making=True):
     found = {}
     for xbar in _x_tails(r, n - 1, change_making):
         pools = {}
-        for d in set(diag):
+        for norm in set(diag):
             pool = []
-            for c in _row_candidates(d, xbar):
+            for c in _row_candidates(norm, xbar):
                 z = -sum(map(mul, c, xbar))
                 pool.append((z, z) + c)
-            pools[d] = pool
+            pools[norm] = pool
         shape = ((0, 1) + xbar, (1, -1) + (0,) * r)
         rows = [None] * r
         fits = {}

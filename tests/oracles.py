@@ -44,6 +44,9 @@ dedup key of `embed.embed_form`, whose leaves are now canonical as found.
 once per target column, is the retired form of `embed.embed_form`, which
 now filters the shared `_row_candidates` pools and pads every column past
 -trace(M) with zeros.
+`linking_form_refutation`, which lists the discriminant group of a form
+in Fractions, is the oracle of `embed._linking_form_ok`, which decides
+the same from the integer adjugate.
 `minors_negative_definite`, one determinant per leading principal minor,
 is the retired form of `linalg.is_negative_definite`.
 `retired_goeritz_parameters`, with its own rank-2 branch, cycle walk
@@ -87,7 +90,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, groupby, permutations, product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import itemgetter, mul
 
 from threebraid import expansions as xp
@@ -396,6 +399,46 @@ def exhaustive_criterion(g_matrix, n):
 
     rec([])
     return sols
+
+
+def linking_form_refutation(g_matrix, n):
+    """Why the discriminant form of P = -G rules out every witness, or None.
+
+    The group P^-1 Z^r / Z^r is listed in Fractions: each column c of P^-1
+    extends the subgroup H listed so far to the cosets H + k c, for k up
+    to the first multiple of c in H.  A witness makes P isometric to
+    I + 2 xbar xbar^T, whose group is cyclic of order D = 2n - 1 with a
+    generator of square -2/D mod 1.  So "non-cyclic" when no element has
+    order D; else, with g one element of order D, the generators are the
+    k g with k prime to D, of squares k^2 (g P g^T), and "linking form"
+    when none of those is -2/D mod 1; None otherwise.
+    """
+    p = linalg.neg(g_matrix)
+    r, d = len(p), 2 * n - 1
+    group = [(Fraction(0),) * r]
+    members = set(group)
+    for col in zip(*fraction_inverse(p)):
+        multiples = [group[0]]
+        while True:
+            step = tuple((a + b) % 1 for a, b in zip(multiples[-1], col))
+            if step in members:
+                break
+            multiples.append(step)
+        cosets = [tuple((a + b) % 1 for a, b in zip(h, m))
+                  for m in multiples[1:] for h in group]
+        group += cosets
+        members.update(cosets)
+    if len(members) != len(group) or len(group) != d:
+        raise ValueError("determinant of the form does not equal 2n - 1")
+    g = next((g for g in group if lcm(*(x.denominator for x in g)) == d),
+             None)
+    if g is None:
+        return "non-cyclic"
+    square = sum(g[i] * p[i][j] * g[j] for i in range(r) for j in range(r))
+    if any(k * k * square % 1 == Fraction(-2, d) % 1
+           for k in range(1, d) if gcd(k, d) == 1):
+        return None
+    return "linking form"
 
 
 def signed_column_canonical(b):

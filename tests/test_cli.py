@@ -72,6 +72,24 @@ def test_u1_matrix_stages(capsys, tmp_path, g1079_matrix):
     assert "stage: witness" in out and out.count("witness matrix:") == 1
 
 
+@pytest.mark.parametrize("matrix, sigma, first_line", [
+    # sweep sides: coker Z/3 + Z/3, and a cyclic coker whose linking form
+    # takes no value -2/35
+    (((-5, 1, 1), (1, -2, 1), (1, 1, -2)), "0", "determinant: 9   n: 5"),
+    (((-4, 1, 1), (1, -4, 1), (1, 1, -3)), "2", "determinant: 35   n: 18"),
+])
+def test_u1_matrix_on_linking_refuted_sides(capsys, tmp_path, matrix, sigma,
+                                            first_line):
+    """A side refuted by its linking form prints the stage a full search
+    of it printed, in both modes."""
+    path = _matrix_file(tmp_path, matrix)
+    for mode in ((), ("--no-change-making",)):
+        code, out, _ = run_cli(capsys, "u1", "--matrix", path,
+                               "--sigma", sigma, *mode)
+        assert code == 0
+        assert out == f"{first_line}\nstage: search_empty\n"
+
+
 def test_u1_matrix_refuses_impossible_sigma(capsys, tmp_path):
     """A knot has D = sigma + 1 (mod 4); other pairs are refused."""
     for matrix in (((-5,),), ((-1,),)):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -32,13 +33,19 @@ def test_x_tails_match_retired_pruning():
 
 def test_x_tail_lists_are_built_once_per_rank_and_target(monkeypatch):
     """From cold caches, one enumeration per distinct (r, n - 1) among the
-    sides searched, however many strict and relaxed searches read it."""
+    sides searched that pass the linking-form test, however many strict
+    and relaxed searches read it."""
     clear_library_caches()
-    keys, relaxed = [], []
+    keys, relaxed, passed = [], [], []
     search = embed.criterion_search
 
     def record(form, change_making=True):
-        keys.append((len(form.matrix), (goeritz.determinant(form) - 1) // 2))
+        d = goeritz.determinant(form)
+        n = (d + 1) // 2
+        # a side refuted by its linking form enumerates no tail
+        passed.append(embed._linking_form_ok(form.matrix, d, n))
+        if passed[-1]:
+            keys.append((len(form.matrix), n - 1))
         relaxed.append(not change_making)
         return search(form, change_making)
 
@@ -47,6 +54,7 @@ def test_x_tail_lists_are_built_once_per_rank_and_target(monkeypatch):
         if braid.is_knot_closure(word.raw()):
             embed.u1_pipeline(word)
     assert any(relaxed) and len(keys) > len(set(keys))
+    assert not all(passed)
     assert embed._square_tuples.cache_info().misses == len(set(keys))
 
 
@@ -174,6 +182,87 @@ def test_criterion_matches_retired_loop(monkeypatch):
                 form, n, change_making)
             found += len(sols)
     assert found == 90
+
+
+def _deep_sides():
+    """(matrix, n) of every side the deep workload searches: the words of
+    total exponent 14 with signature 2, each its own and only side."""
+    sides = set()
+    for word in braid.alt_words(14):
+        if (sum(a + b for a, b in word.pairs) == 14
+                and braid.is_knot_closure(word.raw())
+                and goeritz.signature_normal_form(0, word) == 2):
+            form = goeritz.goeritz_3braid(word)
+            sides.add((form.matrix, (goeritz.determinant(form) + 1) // 2))
+    assert len(sides) == 126
+    return sides
+
+
+def _random_cycle_forms(count, seed):
+    """Seeded random (matrix, n): negative definite, odd D = 2n - 1 in
+    [3, 400].  Rank 1; rank 2 with pairing 0, 1 or 2; ranks 3 to 5 an
+    r-cycle of pairings 1, rows shuffled.  The cap on D bounds the
+    oracles' cost: the Fraction group listing and the retired search."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        r = rng.randint(1, 5)
+        m = [[0] * r for _ in range(r)]
+        for i in range(r):
+            m[i][i] = -rng.randint(2, 6)
+        if r == 2:
+            m[0][1] = m[1][0] = rng.randint(0, 2)
+        elif r > 2:
+            for i in range(r):
+                m[i][(i + 1) % r] = m[(i + 1) % r][i] = 1
+        perm = rng.sample(range(r), r)
+        m = tuple(tuple(m[i][j] for j in perm) for i in perm)
+        if not linalg.is_negative_definite(m):
+            continue
+        d = abs(linalg.det(m))
+        if d >= 3 and d % 2 and d <= 400:
+            out.append((m, (d + 1) // 2))
+    return out
+
+
+def test_linking_form_matches_fraction_oracle(monkeypatch):
+    """The integer linking-form test refutes exactly the sides whose
+    discriminant group, listed in Fractions, is not cyclic or has no
+    generator of square -2/D; pinned per workload as (refuted, non-cyclic)."""
+    def tally(sides):
+        refuted = Counter()
+        for matrix, n in sides:
+            why = oracles.linking_form_refutation(matrix, n)
+            assert (why is None) == embed._linking_form_ok(
+                matrix, 2 * n - 1, n), (matrix, n, why)
+            refuted[why] += 1
+        return (refuted["non-cyclic"] + refuted["linking form"],
+                refuted["non-cyclic"])
+
+    assert tally(_sweep_sides(monkeypatch)) == (46, 12)
+    assert tally(_deep_sides()) == (36, 1)
+    refuted, non_cyclic = tally(_random_cycle_forms(200, 1))
+    assert 0 < non_cyclic < refuted < 200
+
+
+def test_linking_form_refutations_are_sound():
+    """No refuted random form has a witness, strict or relaxed, in the
+    retired backtracker, nor at rank <= 2 in the exhaustive loops; and
+    the forms that pass include some with witnesses."""
+    refuted = witnessed = 0
+    for matrix, n in _random_cycle_forms(200, 1):
+        if embed._linking_form_ok(matrix, 2 * n - 1, n):
+            witnessed += bool(oracles.retired_criterion_search(
+                matrix, n, change_making=False))
+            continue
+        refuted += 1
+        assert embed.criterion_search(matrix, change_making=False) == ()
+        for change_making in (True, False):
+            assert oracles.retired_criterion_search(
+                matrix, n, change_making) == ()
+        if len(matrix) <= 2:
+            assert oracles.exhaustive_criterion(matrix, n) == []
+    assert refuted and witnessed
 
 
 def test_row_candidates_match_retired_enumeration(monkeypatch):
