@@ -256,7 +256,6 @@ def test_linking_form_refutations_are_sound():
                 matrix, n, change_making=False))
             continue
         refuted += 1
-        assert embed.criterion_search(matrix, change_making=False) == ()
         for change_making in (True, False):
             assert oracles.retired_criterion_search(
                 matrix, n, change_making) == ()
